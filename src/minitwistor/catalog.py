@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import InternalInvariantError, InvalidParameterError
-from .invariants import reduction_trace, regularity, sequence_l_vector
+from .errors import InternalInvariantError, InvalidParameterError, invariant_violation
+from .invariants import SequenceAnalysis, analyze_sequence, deformability_slack
 
 #: Known class counts delta(0..5); the equivalence relation must reproduce
 #: these exactly, and u1_classes fails loudly if it does not.
@@ -128,16 +128,15 @@ class CatalogClass:
 
 def _build_class(reps: list[tuple[int, ...]]) -> CatalogClass:
     members = sorted({orient for rep in reps for orient in (rep, rep[::-1])})
-    canonical = members[0]
-    slacks = [
-        reg.slack for reg in (regularity(member) for member in members) if not reg.semi_free
-    ]
+    canonical = analyze_sequence(members[0])
+    slacks = [canonical.slack, *map(deformability_slack, members[1:])]
+    slacks = [slack for slack in slacks if slack is not None]
     return CatalogClass(
-        canonical=canonical,
+        canonical=canonical.k,
         members=tuple(members),
-        u1_key=u1_key(canonical),
-        m=reduction_trace(canonical).m,
-        l=sequence_l_vector(canonical),
+        u1_key=u1_key(canonical.k),
+        m=canonical.m,
+        l=canonical.l,
         slack=max(slacks) if slacks else None,
     )
 
@@ -152,7 +151,8 @@ def u1_classes(n: int) -> tuple[list[CatalogClass], int]:
     delta = len(classes)
     if n < len(KNOWN_DELTA) and delta != KNOWN_DELTA[n]:
         raise InternalInvariantError(
-            f"equivalence relation produced delta({n}) = {delta}, expected {KNOWN_DELTA[n]}"
+            f"u1_classes: n = {n}: equivalence relation produced delta({n}) = {delta}, "
+            f"expected {KNOWN_DELTA[n]}"
         )
     return classes, delta
 
@@ -167,10 +167,9 @@ class FamilySequence:
     deformable: bool
 
 
-def _annotate(seq: tuple[int, ...]) -> FamilySequence:
-    reg = regularity(seq)
+def _annotate(rec: SequenceAnalysis) -> FamilySequence:
     return FamilySequence(
-        seq=seq, semi_free=reg.semi_free, slack=reg.slack, deformable=reg.deformable
+        seq=rec.k, semi_free=rec.semi_free, slack=rec.slack, deformable=rec.deformable
     )
 
 
@@ -189,9 +188,11 @@ def family_lebrun(n: int) -> list[FamilySequence]:
     ]
     for k in range((n + 1) // 2, n - 1):
         seqs.append(tuple(range(1, k + 1)) + (1,) + tuple(range(n - k, 0, -1)))
-    members = [_annotate(seq) for seq in seqs]
+    members = [_annotate(analyze_sequence(seq)) for seq in seqs]
     if len(members) != n // 2 + 2:
-        raise InternalInvariantError("LeBrun family size is not floor(n/2) + 2")
+        raise InternalInvariantError(
+            f"family_lebrun: n = {n}: LeBrun family size is not floor(n/2) + 2"
+        )
     return members
 
 
@@ -204,13 +205,14 @@ def family_involutive(n: int) -> list[FamilySequence]:
         raise InvalidParameterError("the involutive family needs n >= 1")
     members = []
     for c in range(n // 2 + 1):
-        seq = (1,) + (2, 1) * c + (1,) * (n - 2 * c)
-        annotated = _annotate(seq)
-        if c and annotated.slack != n - 2 * c:
-            raise InternalInvariantError("involutive slack is not n - 2c")
-        if any(l > 1 for l in sequence_l_vector(seq)):
-            raise InternalInvariantError("involutive sequence acquired a real singularity")
-        members.append(annotated)
+        rec = analyze_sequence((1,) + (2, 1) * c + (1,) * (n - 2 * c))
+        if c and rec.slack != n - 2 * c:
+            raise invariant_violation("family_involutive", rec.k, "involutive slack is not n - 2c")
+        if any(l > 1 for l in rec.l):
+            raise invariant_violation(
+                "family_involutive", rec.k, "involutive sequence acquired a real singularity"
+            )
+        members.append(_annotate(rec))
     return members
 
 
@@ -232,8 +234,10 @@ def family_fibonacci(n: int) -> tuple[int, ...]:
             if best is None or candidate < best:
                 best = candidate
         seq = best[1]
-    if reduction_trace(seq).m != fibonacci(n + 1):
-        raise InternalInvariantError("maximal-step sequence missed its Fibonacci step count")
+    if analyze_sequence(seq).m != fibonacci(n + 1):
+        raise invariant_violation(
+            "family_fibonacci", seq, "maximal-step sequence missed its Fibonacci step count"
+        )
     return seq
 
 
@@ -259,7 +263,9 @@ def growth_report(n_max: int) -> DeltaTable:
     for n in range(n_max + 1):
         _, delta = u1_classes(n)
         if delta < previous:
-            raise InternalInvariantError(f"delta decreased between n = {n - 1} and n = {n}")
+            raise InternalInvariantError(
+                f"growth_report: n = {n}: delta decreased between n = {n - 1} and n = {n}"
+            )
         previous = delta
         rows.append(
             DeltaRow(

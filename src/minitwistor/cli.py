@@ -10,6 +10,7 @@ infinity as "inf", and nothing environment-dependent is emitted.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import catalog as cat
@@ -21,14 +22,7 @@ from .errors import (
     InvalidSequenceError,
 )
 from .exact import format_scalar, parse_scalar
-from .invariants import (
-    regularity,
-    reduction_trace,
-    restriction_multiplicities,
-    sequence_l_vector,
-    sequence_summary,
-    trace_divisor,
-)
+from .invariants import analyze_sequence, restriction_multiplicities, sequence_summary
 from .model import minitwistor_model, validate_lambdas
 from .render import (
     discriminant_latex,
@@ -75,25 +69,23 @@ def _format_seq(seq: tuple[int, ...]) -> str:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     seq = _parse_sequence(args.seq)
-    summary = sequence_summary(seq)
-    lambdas = _parse_lambdas(args.lambdas, summary["n"])
+    rec = analyze_sequence(seq)
+    lambdas = _parse_lambdas(args.lambdas, rec.n)
     c_sign = _parse_c(args.c)
-    model = minitwistor_model(seq, lambdas, c_sign)
-    reg = regularity(seq)
-    div = trace_divisor(reduction_trace(seq))
-    cycle, conj_cycle = restriction_multiplicities(div, seq)
-    joyce = discriminant_joyce(seq)
-    deformed = None if reg.semi_free else discriminant_deformed(seq)
-    schedule = blow_up_schedule(seq)
+    model = minitwistor_model(rec, lambdas, c_sign)
+    cycle, conj_cycle = restriction_multiplicities(rec.divisor, rec)
+    joyce = discriminant_joyce(rec)
+    deformed = None if rec.semi_free else discriminant_deformed(rec)
+    schedule = blow_up_schedule(rec)
 
     if args.format == "json":
-        report = dict(summary)
+        report = sequence_summary(rec)
         report.update(
             {
                 "input": {"seq": seq, "lambda": model.lambdas, "c": c_sign},
-                "regular": reg.regular,
-                "semi_free": reg.semi_free,
-                "note": reg.note,
+                "regular": rec.regular,
+                "semi_free": rec.semi_free,
+                "note": rec.note,
                 "model": model,
                 "discriminant_joyce": joyce,
                 "discriminant_deformed": deformed,
@@ -110,18 +102,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print()
             print(discriminant_latex(deformed))
     else:
-        print(f"sequence k = ({_format_seq(seq)}), n = {summary['n']}")
-        print(f"m = {summary['m']}")
-        print("trace: " + " ".join(f"({i},{j})" for i, j in summary["trace"]))
-        print(f"l+ = {summary['l_plus']}")
-        print(f"l- = {summary['l_minus']}")
-        print(f"l  = {summary['l']}")
-        if reg.semi_free:
-            print(f"regularity: semi-free ({reg.note}); deformable = {reg.deformable}")
+        print(f"sequence k = ({_format_seq(seq)}), n = {rec.n}")
+        print(f"m = {rec.m}")
+        print("trace: " + " ".join(f"({i},{j})" for i, j in rec.trace.steps))
+        print(f"l+ = {rec.l_plus}")
+        print(f"l- = {rec.l_minus}")
+        print(f"l  = {rec.l}")
+        if rec.semi_free:
+            print(f"regularity: semi-free ({rec.note}); deformable = {rec.deformable}")
         else:
             print(
-                f"regularity: r = {reg.r}, s = {reg.s}, slack = {reg.slack}, "
-                f"deformable = {reg.deformable}"
+                f"regularity: r = {rec.r}, s = {rec.s}, slack = {rec.slack}, "
+                f"deformable = {rec.deformable}"
             )
         print(model_text(model))
         print(discriminant_text(joyce))
@@ -147,42 +139,42 @@ def _cmd_equation(args: argparse.Namespace) -> int:
 
 def _cmd_deform_check(args: argparse.Namespace) -> int:
     seq = _parse_sequence(args.seq)
-    reg = regularity(seq)
-    if reg.semi_free:
+    rec = analyze_sequence(seq)
+    if rec.semi_free:
         if args.format == "json":
             sys.stdout.write(
                 dumps(
                     {
-                        "n": reg.n,
+                        "n": rec.n,
                         "k": seq,
                         "semi_free": True,
-                        "note": reg.note,
-                        "deformable": reg.deformable,
+                        "note": rec.note,
+                        "deformable": rec.deformable,
                     }
                 )
             )
         else:
-            print(f"semi-free: handled by LeBrun theory (deformable = {reg.deformable})")
+            print(f"semi-free: handled by LeBrun theory (deformable = {rec.deformable})")
         return 0
-    deformed = discriminant_deformed(seq)
+    deformed = discriminant_deformed(rec)
     if args.format == "json":
         sys.stdout.write(
             dumps(
                 {
-                    "n": reg.n,
+                    "n": rec.n,
                     "k": seq,
                     "semi_free": False,
-                    "r": reg.r,
-                    "s": reg.s,
-                    "slack": reg.slack,
-                    "deformable": reg.deformable,
+                    "r": rec.r,
+                    "s": rec.s,
+                    "slack": rec.slack,
+                    "deformable": rec.deformable,
                     "discriminant_deformed": deformed,
                 }
             )
         )
     else:
         print(
-            f"r = {reg.r}, s = {reg.s}, slack = {reg.slack}, deformable = {reg.deformable}"
+            f"r = {rec.r}, s = {rec.s}, slack = {rec.slack}, deformable = {rec.deformable}"
         )
         print(discriminant_text(deformed))
     return 0
@@ -227,12 +219,15 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _tables_delta(args: argparse.Namespace) -> int:
+    if args.n_max < 0:
+        raise InvalidParameterError("tables delta needs --n-max >= 0")
     table = cat.growth_report(args.n_max)
     deltas = tuple(row.delta for row in table.rows)
     expected = cat.KNOWN_DELTA[: min(len(deltas), len(cat.KNOWN_DELTA))]
     if deltas[: len(expected)] != expected:
         raise InternalInvariantError(
-            f"regenerated delta table {deltas[:len(expected)]} differs from {expected}"
+            f"tables delta: regenerated delta table {deltas[:len(expected)]} "
+            f"differs from {expected}"
         )
     if args.format == "json":
         sys.stdout.write(dumps(table))
@@ -245,14 +240,16 @@ def _tables_delta(args: argparse.Namespace) -> int:
 
 
 def _tables_fibonacci(args: argparse.Namespace) -> int:
+    if args.n_max < 2:
+        raise InvalidParameterError("tables fibonacci needs --n-max >= 2")
     rows = []
     for n in range(2, args.n_max + 1):
-        seq = cat.family_fibonacci(n)
-        lvec = sequence_l_vector(seq)
-        m = reduction_trace(seq).m
+        rec = analyze_sequence(cat.family_fibonacci(n))
+        seq, lvec, m = rec.k, rec.l, rec.m
         if n in cat.FIBONACCI_TABLE and cat.FIBONACCI_TABLE[n] != (seq, lvec, m):
             raise InternalInvariantError(
-                f"regenerated maximal-step row at n = {n} differs from the stored table"
+                f"tables fibonacci: ({_format_seq(seq)}): regenerated maximal-step row "
+                f"at n = {n} differs from the stored table"
             )
         rows.append({"n": n, "k": seq, "l": lvec, "m": m})
     if args.format == "json":
@@ -382,7 +379,16 @@ def main(argv: list[str] | None = None) -> int:
         elif args.n is None:
             parser.error(f"tables {args.which} requires --n")
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`); point fd 1 at devnull so
+        # the interpreter's final flush does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (InvalidSequenceError, InvalidFanError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError
-from .fans import fan_from_sequence, self_intersections
-from .invariants import l_vector, reduction_trace, regularity, trace_divisor
+from .fans import HalfFan, self_intersections
+from .invariants import Weights, analyze_sequence
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,12 @@ class DiscriminantReport:
     possibly_nonreduced: bool = True
 
 
-def discriminant_joyce(seq: tuple[int, ...]) -> DiscriminantReport:
+def discriminant_joyce(seq: Weights) -> DiscriminantReport:
     """Discriminant report over the undeformed metric: every interior index
     shows up, as a chain when l_i > 0 and as an irreducible fiber when
     l_i = 0 (the two boundary fibers never contribute)."""
-    lvec = l_vector(trace_divisor(reduction_trace(seq)))
-    n = len(seq) - 1
+    rec = analyze_sequence(seq)
+    lvec, n = rec.l, rec.n
     interior = range(2, n + 2)
     return DiscriminantReport(
         deformed=False,
@@ -59,19 +59,18 @@ def discriminant_joyce(seq: tuple[int, ...]) -> DiscriminantReport:
     )
 
 
-def discriminant_deformed(seq: tuple[int, ...]) -> DiscriminantReport:
+def discriminant_deformed(seq: Weights) -> DiscriminantReport:
     """Discriminant report after the equivariant deformation: fibers are
     confined to r < i < s and the regular tails contribute n + r - s
     hyperplane sections.  Requires a non-semi-free sequence (the semi-free
     case belongs to LeBrun's theory); the report is emitted whether or not the
     slack is positive."""
-    reg = regularity(seq)
-    if reg.semi_free:
+    rec = analyze_sequence(seq)
+    if rec.semi_free:
         raise InvalidParameterError(
             "semi-free sequence: deformations are handled by LeBrun theory"
         )
-    lvec = l_vector(trace_divisor(reduction_trace(seq)))
-    r, s, n = reg.r, reg.s, reg.n
+    lvec, r, s, n = rec.l, rec.r, rec.s, rec.n
     window = range(r + 1, s)
     return DiscriminantReport(
         deformed=True,
@@ -118,12 +117,13 @@ class BlowUpSchedule:
         return len(self.stages)
 
 
-def blow_up_schedule(seq: tuple[int, ...]) -> BlowUpSchedule:
-    trace = reduction_trace(seq)
-    div = trace_divisor(trace)
-    lvec = l_vector(div)
-    n, m = trace.n, trace.m
-    marked_self_int = self_intersections(fan_from_sequence(seq))[0]
+def blow_up_schedule(seq: Weights) -> BlowUpSchedule:
+    """The base-locus elimination ledger of a weight sequence or its analysis
+    record; the normal bundle comes from the half-fan of the stored rays."""
+    rec = analyze_sequence(seq)
+    lvec, n, m = rec.l, rec.n, rec.m
+    plus, minus = rec.l_plus, rec.l_minus
+    marked_self_int = self_intersections(HalfFan(rec.rays))[0]
     normal_bundle = (marked_self_int + 1, -1)
 
     stages = [
@@ -150,8 +150,8 @@ def blow_up_schedule(seq: tuple[int, ...]) -> BlowUpSchedule:
         )
     )
     interior = range(2, n + 2)
-    plus3 = tuple(i for i in interior if div.plus[i - 1] > 0)
-    minus3 = tuple(i for i in interior if div.minus[i - 1] > 0)
+    plus3 = tuple(i for i in interior if plus[i - 1] > 0)
+    minus3 = tuple(i for i in interior if minus[i - 1] > 0)
     stages.append(
         BlowUpStage(
             stage=3,
@@ -165,8 +165,8 @@ def blow_up_schedule(seq: tuple[int, ...]) -> BlowUpSchedule:
     max_mult = max(lvec)
     for t in range(4, max_mult + 3):
         threshold = t - 2
-        plus_t = tuple(i for i in interior if div.plus[i - 1] >= threshold)
-        minus_t = tuple(i for i in interior if div.minus[i - 1] >= threshold)
+        plus_t = tuple(i for i in interior if plus[i - 1] >= threshold)
+        minus_t = tuple(i for i in interior if minus[i - 1] >= threshold)
         primes = "'" * (t - 4)
         stages.append(
             BlowUpStage(

@@ -15,3 +15,9 @@ class InvalidParameterError(ValueError):
 
 class InternalInvariantError(RuntimeError):
     """A provably-true structural identity failed; always an implementation bug."""
+
+
+def invariant_violation(stage: str, seq: tuple[int, ...], detail: str) -> InternalInvariantError:
+    """An InternalInvariantError naming the stage and the weight sequence it
+    failed on, as ``stage: (k_2,...,k_{n+2}): detail``."""
+    return InternalInvariantError(f"{stage}: ({','.join(str(k) for k in seq)}): {detail}")

@@ -62,11 +62,41 @@ def parse_scalar(text: str) -> Scalar:
         raise InvalidParameterError(f"cannot parse rational {text!r}") from exc
 
 
+#: Integers of at most this many bits (about 1233 digits) convert with one
+#: str() call, well inside CPython's default 4300-digit limit.
+_CHUNK_BITS = 4096
+
+
+def decimal(value: int) -> str:
+    """Decimal digits of an integer, whatever the interpreter's int-to-str
+    digit limit (``sys.set_int_max_str_digits``).
+
+    Values str() accepts take that fast path; larger ones are split at a
+    power of ten near half their digits, recursively, so every str() call
+    stays under the limit.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        if value < 0:
+            return "-" + _split_decimal(-value)
+        return _split_decimal(value)
+
+
+def _split_decimal(value: int) -> str:
+    if value.bit_length() <= _CHUNK_BITS:
+        return str(value)
+    # 1233 / 4096 is just below log10(2), so half is under half the digits
+    half = (value.bit_length() * 1233 >> 12) // 2
+    high, low = divmod(value, 10**half)
+    return _split_decimal(high) + _split_decimal(low).zfill(half)
+
+
 def format_scalar(value: Scalar | int) -> str:
     """Render an exact scalar as reduced "p/q", a plain integer, or "inf"."""
     if isinstance(value, Infinity):
         return "inf"
     f = Fraction(value)
     if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+        return decimal(f.numerator)
+    return f"{decimal(f.numerator)}/{decimal(f.denominator)}"

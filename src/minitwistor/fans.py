@@ -80,12 +80,13 @@ class HalfFan:
         return cls(tuple((int(x), int(y)) for x, y in data))
 
 
-def validate_sequence(seq: tuple[int, ...]) -> None:
+def validate_sequence(seq: tuple[int, ...]) -> tuple[Ray, ...]:
     """Raise InvalidSequenceError naming the rule a weight sequence breaks.
 
     Valid sequences are exactly those reachable from (1) by mediant
     insertions, equivalently those whose unimodular ray chain closes over the
-    integers.
+    integers.  Returns that chain: the rays v_1, ..., v_{n+2} of the
+    normalized half-fan.
     """
     if len(seq) == 0:
         raise InvalidSequenceError("sequence must be non-empty")
@@ -96,7 +97,7 @@ def validate_sequence(seq: tuple[int, ...]) -> None:
         raise InvalidSequenceError("k_2 must equal 1")
     if seq[-1] != 1:
         raise InvalidSequenceError("k_{n+2} must equal 1")
-    _ray_chain(seq)
+    return _ray_chain(seq)
 
 
 def is_valid_sequence(seq: tuple[int, ...]) -> bool:
@@ -107,18 +108,22 @@ def is_valid_sequence(seq: tuple[int, ...]) -> bool:
     return True
 
 
-def _ray_chain(seq: tuple[int, ...]) -> list[Ray]:
+def _ray_chain(seq: tuple[int, ...]) -> tuple[Ray, ...]:
     # v_1 = (1,0), v_2 = (0,1); second coordinates are the weights, first
     # coordinates solve det(v_i, v_{i+1}) = 1.
     rays: list[Ray] = [(1, 0), (0, 1)]
-    for idx in range(1, len(seq)):
-        numerator = rays[-1][0] * seq[idx] - 1
-        if numerator % seq[idx - 1]:
+    x = 0
+    previous = seq[0]
+    for k in seq[1:]:
+        numerator = x * k - 1
+        x = numerator // previous
+        if x * previous != numerator:
             raise InvalidSequenceError(
-                f"not reachable by mediant insertions (ray chain breaks at k_{idx + 2})"
+                f"not reachable by mediant insertions (ray chain breaks at k_{len(rays) + 1})"
             )
-        rays.append((numerator // seq[idx - 1], seq[idx]))
-    return rays
+        rays.append((x, k))
+        previous = k
+    return tuple(rays)
 
 
 def fan_from_sequence(seq: tuple[int, ...]) -> HalfFan:
@@ -127,8 +132,7 @@ def fan_from_sequence(seq: tuple[int, ...]) -> HalfFan:
     The result satisfies v_1 = (1,0), v_2 = (0,1) and det(v_1, v_i) = k_i;
     an InvalidSequenceError reports the failed validity rule otherwise.
     """
-    validate_sequence(seq)
-    return HalfFan(tuple(_ray_chain(seq)))
+    return HalfFan(validate_sequence(seq))
 
 
 def sequence_from_fan(fan: HalfFan, marked: int) -> tuple[int, ...]:

@@ -1,13 +1,29 @@
 """Invariants of a circle subgroup acting on an invariant anticanonical cycle.
 
 Everything downstream is driven by the weight sequence (k_2, ..., k_{n+2}) of
-the chosen circle subgroup on the components of the cycle.  The decrement
-procedure repeatedly lowers the leftmost maximal run of maximal entries by
-one; its step count m is the basic invariant.  The recorded steps assemble a
-distinguished divisor, encoded by the plus/minus multiplicity vectors l_i^+,
-l_i^-, whose sum l_i drives fibers, singularities and discriminants.  The
-regular-run indices r and s and the slack n + r - s express the deformability
-criterion.
+the chosen circle subgroup on the components of the cycle.  Padding it with
+k_1 = k_{n+3} = 0, every invariant has a closed form, for i = 1..n+2:
+
+    l_i^+ = max(0, k_{i+1} - k_i)      l_i^- = max(0, k_i - k_{i+1})
+    l_i   = |k_{i+1} - k_i|            m     = sum_i l_i^+
+
+The plus/minus vectors are the multiplicities of a distinguished divisor, and
+their sum l drives fibers, singularities and discriminants.  With lead and
+trail the numbers of ones at the two ends of the sequence, the regular-run
+indices are r = lead + 1 and s = n + 3 - trail, so the slack n + r - s of the
+deformability criterion is lead + trail - 2.
+
+:func:`analyze_sequence` validates a sequence once and returns all of this as
+one frozen :class:`SequenceAnalysis` record, which the model, conic-bundle,
+catalog and CLI layers read.  The record builds the trace of the decrement
+procedure only when asked, by a level scan: the steps are the connected
+components of {i : k_i >= h} for h = max k down to 1, left to right within a
+level, so their number is m.
+
+The decrement simulation itself (:func:`reduction_steps`,
+:func:`reduction_trace`), the divisor assembled from its steps
+(:func:`trace_divisor`) and the run scan of :func:`regularity` stay as the
+test oracle for these closed forms; no library path calls them.
 
 Indices follow the geometry: weights are indexed 2..n+2 and divisors 1..n+2.
 Python tuples hold the entries in that order, while every index appearing in
@@ -17,9 +33,13 @@ steps, reports or index sets is the 1-based geometric one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add, mul, sub
 
-from .errors import InternalInvariantError, InvalidSequenceError
-from .fans import HalfFan, sequence_from_fan, validate_sequence
+from .errors import InvalidSequenceError, invariant_violation
+from .fans import HalfFan, Ray, sequence_from_fan, validate_sequence
+
+SEMI_FREE_NOTE = "semi-free: handled by LeBrun theory"
 
 
 @dataclass(frozen=True)
@@ -28,7 +48,9 @@ class ReductionTrace:
 
     Step l lowers entries i_l..j_l by one; indices are in the k-numbering
     (2..n+2).  The final step always spans (2, n+2): one pass before the end
-    every entry equals 1.
+    every entry equals 1.  The library builds it by the level scan of
+    :attr:`SequenceAnalysis.trace`; :func:`reduction_trace` simulates it as
+    the test oracle.
     """
 
     n: int
@@ -37,45 +59,6 @@ class ReductionTrace:
     @property
     def m(self) -> int:
         return len(self.steps)
-
-
-def reduction_steps(
-    entries: tuple[int, ...], first_index: int = 2
-) -> tuple[tuple[int, int], ...]:
-    """Run the decrement procedure on a positive sequence, recording steps.
-
-    Each pass picks the smallest position attaining the maximum, extends it to
-    the maximal run of equal entries, and lowers that run by one; passes repeat
-    until the sequence is zero.  Positions are reported shifted so the first
-    entry has index ``first_index``.
-    """
-    k = list(entries)
-    steps: list[tuple[int, int]] = []
-    while any(k):
-        top = max(k)
-        i = k.index(top)
-        j = i
-        while j + 1 < len(k) and k[j + 1] == top:
-            j += 1
-        for t in range(i, j + 1):
-            k[t] -= 1
-        steps.append((i + first_index, j + first_index))
-    return tuple(steps)
-
-
-def reduction_trace(seq: tuple[int, ...]) -> ReductionTrace:
-    """Trace of the decrement procedure on a valid weight sequence."""
-    validate_sequence(seq)
-    n = len(seq) - 1
-    steps = reduction_steps(seq)
-    m = len(steps)
-    if m > sum(seq):
-        raise InternalInvariantError("step count exceeds the entry sum")
-    if m < max(seq):
-        raise InternalInvariantError("step count fell below the maximal weight")
-    if steps[-1] != (2, n + 2):
-        raise InternalInvariantError("final pass does not span the whole sequence")
-    return ReductionTrace(n=n, steps=steps)
 
 
 @dataclass(frozen=True)
@@ -98,6 +81,190 @@ class TraceDivisor:
         return sum(self.plus)
 
 
+@dataclass(frozen=True)
+class SequenceAnalysis:
+    """A validated weight sequence with its invariants in closed form.
+
+    Built once per request by :func:`analyze_sequence`.  ``rays`` is the ray
+    chain of the normalized half-fan that validation produced; ``l_plus``,
+    ``l_minus`` and ``l`` are indexed 1..n+2; ``regular`` lists the indices
+    with weight 1.  For the semi-free sequence (all weights 1) r, s and slack
+    are None and deformability is settled by LeBrun's theory of semi-free
+    circle actions instead: such metrics deform whenever n >= 3.
+    """
+
+    k: tuple[int, ...]
+    rays: tuple[Ray, ...]
+    n: int
+    m: int
+    l_plus: tuple[int, ...]
+    l_minus: tuple[int, ...]
+    l: tuple[int, ...]
+    regular: tuple[int, ...]
+    semi_free: bool
+    r: int | None
+    s: int | None
+    slack: int | None
+    deformable: bool
+    note: str | None = None
+
+    @property
+    def divisor(self) -> TraceDivisor:
+        return TraceDivisor(n=self.n, plus=self.l_plus, minus=self.l_minus)
+
+    @cached_property
+    def trace(self) -> ReductionTrace:
+        """The decrement trace by the level scan: between two consecutive
+        distinct weights the components of {i : k_i >= h} do not change, so
+        each is emitted once per level it spans."""
+        k = self.k
+        levels = sorted(set(k), reverse=True)
+        steps: list[tuple[int, int]] = []
+        for top, below in zip(levels, levels[1:] + [0]):
+            runs = []
+            start = None
+            for index, entry in enumerate(k, start=2):
+                if entry >= top:
+                    if start is None:
+                        start = index
+                elif start is not None:
+                    runs.append((start, index - 1))
+                    start = None
+            if start is not None:
+                runs.append((start, self.n + 2))
+            steps.extend(runs * (top - below))
+        if len(steps) != self.m:
+            raise invariant_violation("trace", k, "level scan length differs from m")
+        if steps[-1] != (2, self.n + 2):
+            raise invariant_violation("trace", k, "final pass does not span the whole sequence")
+        return ReductionTrace(n=self.n, steps=tuple(steps))
+
+
+Weights = tuple[int, ...] | SequenceAnalysis
+
+
+def analyze_sequence(seq: Weights) -> SequenceAnalysis:
+    """Validate a weight sequence once and fill in its invariants from the
+    closed forms; a record passes through unchanged.
+
+    The cheap structural identities are checked on the way: sum l = 2m,
+    l_1 = l_{n+2} = 1, no index carries both signs and max k <= m <= sum k.
+    """
+    if isinstance(seq, SequenceAnalysis):
+        return seq
+    rays = validate_sequence(seq)
+    k = tuple(seq)
+    n = len(k) - 1
+    padded = (0,) + k + (0,)
+    diffs = list(map(sub, padded[1:], padded))
+    plus = tuple([d if d > 0 else 0 for d in diffs])
+    minus = tuple([0 if d > 0 else -d for d in diffs])
+    l = tuple(map(add, plus, minus))
+    m = sum(plus)
+    if sum(l) != 2 * m or l[0] != 1 or l[-1] != 1:
+        raise invariant_violation("analyze_sequence", k, "l-vector failed its structural identities")
+    if any(map(mul, plus, minus)):
+        raise invariant_violation("analyze_sequence", k, "an index carries both signs")
+    if not max(k) <= m <= sum(k):
+        raise invariant_violation("analyze_sequence", k, "m lies outside [max k, sum k]")
+    regular = tuple([i for i, entry in enumerate(k, start=2) if entry == 1])
+    runs = _end_runs(k)
+    if runs is None:
+        r = s = slack = None
+        deformable, note = n >= 3, SEMI_FREE_NOTE
+    else:
+        lead, trail = runs
+        r, s, slack = lead + 1, n + 3 - trail, lead + trail - 2
+        deformable, note = slack > 0, None
+    return SequenceAnalysis(
+        k=k, rays=rays, n=n, m=m, l_plus=plus, l_minus=minus, l=l, regular=regular,
+        semi_free=runs is None, r=r, s=s, slack=slack, deformable=deformable, note=note,
+    )
+
+
+def _end_runs(k: tuple[int, ...]) -> tuple[int, int] | None:
+    """Numbers of ones (lead, trail) at the two ends of a sequence, or None
+    when every entry is 1."""
+    lead = 0
+    while lead < len(k) and k[lead] == 1:
+        lead += 1
+    if lead == len(k):
+        return None
+    trail = 0
+    while k[-1 - trail] == 1:
+        trail += 1
+    return lead, trail
+
+
+def deformability_slack(seq: tuple[int, ...]) -> int | None:
+    """The slack lead + trail - 2 of a weight sequence, validating it once;
+    None for the semi-free sequence.  For callers that need nothing else of
+    the record, such as the catalog's non-canonical members."""
+    validate_sequence(seq)
+    runs = _end_runs(seq)
+    return None if runs is None else runs[0] + runs[1] - 2
+
+
+def _weights(seq: Weights) -> tuple[int, ...]:
+    return seq.k if isinstance(seq, SequenceAnalysis) else seq
+
+
+# ---------------------------------------------------------------------------
+# the decrement simulation: the test oracle for the closed forms
+
+
+def reduction_steps(
+    entries: tuple[int, ...], first_index: int = 2
+) -> tuple[tuple[int, int], ...]:
+    """Run the decrement procedure on a positive sequence, recording steps.
+
+    Each pass picks the smallest position attaining the maximum, extends it to
+    the maximal run of equal entries, and lowers that run by one; passes repeat
+    until the sequence is zero.  Positions are reported shifted so the first
+    entry has index ``first_index``.
+
+    This is the test oracle for the level scan of
+    :attr:`SequenceAnalysis.trace`, which yields the same steps without the
+    O(m n) simulation; no library path calls it.
+    """
+    k = list(entries)
+    steps: list[tuple[int, int]] = []
+    while any(k):
+        top = max(k)
+        i = k.index(top)
+        j = i
+        while j + 1 < len(k) and k[j + 1] == top:
+            j += 1
+        for t in range(i, j + 1):
+            k[t] -= 1
+        steps.append((i + first_index, j + first_index))
+    return tuple(steps)
+
+
+def reduction_trace(seq: Weights) -> ReductionTrace:
+    """Trace of the decrement procedure on a valid weight sequence, by
+    simulation (the test oracle)."""
+    seq = _weights(seq)
+    validate_sequence(seq)
+    n = len(seq) - 1
+    steps = reduction_steps(seq)
+    m = len(steps)
+    if m > sum(seq):
+        raise invariant_violation("reduction_trace", seq, "step count exceeds the entry sum")
+    if m < max(seq):
+        raise invariant_violation("reduction_trace", seq, "step count fell below the maximal weight")
+    if steps[-1] != (2, n + 2):
+        raise invariant_violation(
+            "reduction_trace", seq, "final pass does not span the whole sequence"
+        )
+    return ReductionTrace(n=n, steps=steps)
+
+
+def _trace_weights(trace: ReductionTrace) -> tuple[int, ...]:
+    # k_i is the number of steps covering index i
+    return tuple(sum(1 for i, j in trace.steps if i <= t <= j) for t in range(2, trace.n + 3))
+
+
 def trace_divisor(trace: ReductionTrace) -> TraceDivisor:
     """Assemble the signed multiplicity vectors from a reduction trace."""
     n = trace.n
@@ -107,12 +274,15 @@ def trace_divisor(trace: ReductionTrace) -> TraceDivisor:
         plus[i - 2] += 1
         minus[j - 1] += 1
     m = trace.m
+    detail = None
     if plus[0] != 1 or minus[n + 1] != 1 or minus[0] != 0 or plus[n + 1] != 0:
-        raise InternalInvariantError("boundary multiplicities of the trace divisor are wrong")
-    if any(p and q for p, q in zip(plus, minus)):
-        raise InternalInvariantError("an index carries both signs in the trace divisor")
-    if sum(plus) != m or sum(minus) != m:
-        raise InternalInvariantError("signed multiplicities do not each sum to m")
+        detail = "boundary multiplicities of the trace divisor are wrong"
+    elif any(p and q for p, q in zip(plus, minus)):
+        detail = "an index carries both signs in the trace divisor"
+    elif sum(plus) != m or sum(minus) != m:
+        detail = "signed multiplicities do not each sum to m"
+    if detail is not None:
+        raise invariant_violation("trace_divisor", _trace_weights(trace), detail)
     return TraceDivisor(n=n, plus=tuple(plus), minus=tuple(minus))
 
 
@@ -121,17 +291,22 @@ def l_vector(div: TraceDivisor) -> tuple[int, ...]:
     boundary entries are 1."""
     l = tuple(p + q for p, q in zip(div.plus, div.minus))
     if sum(l) != 2 * div.m or l[0] != 1 or l[-1] != 1:
-        raise InternalInvariantError("l-vector failed its structural identities")
+        # k_{i+1} - k_i = l_i^+ - l_i^-, so the weights are the prefix sums
+        weights, total = [], 0
+        for p, q in zip(div.plus[:-1], div.minus[:-1]):
+            total += p - q
+            weights.append(total)
+        raise invariant_violation("l_vector", weights, "l-vector failed its structural identities")
     return l
 
 
-def sequence_l_vector(seq: tuple[int, ...]) -> tuple[int, ...]:
+def sequence_l_vector(seq: Weights) -> tuple[int, ...]:
     """Convenience: l-vector straight from a weight sequence."""
-    return l_vector(trace_divisor(reduction_trace(seq)))
+    return analyze_sequence(seq).l
 
 
 def restriction_multiplicities(
-    div: TraceDivisor, seq: tuple[int, ...]
+    div: TraceDivisor, seq: Weights
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Multiplicities of the cycle components in the divisor's restriction.
 
@@ -140,6 +315,7 @@ def restriction_multiplicities(
     exactly m + k_i on C_i and m - k_i on conj C_i (and m on both C_1 and its
     conjugate).  A mismatch is an implementation bug, so it raises.
     """
+    seq = _weights(seq)
     n = div.n
     if len(seq) != n + 1:
         raise InvalidSequenceError("sequence length does not match the divisor")
@@ -163,7 +339,9 @@ def restriction_multiplicities(
     expected_c = (m,) + tuple(m + k for k in seq)
     expected_cbar = (m,) + tuple(m - k for k in seq)
     if tuple(c) != expected_c or tuple(cbar) != expected_cbar:
-        raise InternalInvariantError("restriction multiplicities disagree with m +/- k_i")
+        raise invariant_violation(
+            "restriction_multiplicities", seq, "restriction multiplicities disagree with m +/- k_i"
+        )
     return tuple(c), tuple(cbar)
 
 
@@ -190,7 +368,10 @@ class RegularityReport:
     note: str | None = None
 
 
-def regularity(seq: tuple[int, ...]) -> RegularityReport:
+def regularity(seq: Weights) -> RegularityReport:
+    """Regularity by scanning the runs of ones (the test oracle for the
+    closed-form r, s and slack of :class:`SequenceAnalysis`)."""
+    seq = _weights(seq)
     validate_sequence(seq)
     n = len(seq) - 1
     regular = tuple(i for i in range(2, n + 3) if seq[i - 2] == 1)
@@ -204,7 +385,7 @@ def regularity(seq: tuple[int, ...]) -> RegularityReport:
             s=None,
             slack=None,
             deformable=n >= 3,
-            note="semi-free: handled by LeBrun theory",
+            note=SEMI_FREE_NOTE,
         )
     r = 2
     while r + 1 <= n + 2 and seq[r - 1] == 1:
@@ -213,10 +394,10 @@ def regularity(seq: tuple[int, ...]) -> RegularityReport:
     while s - 1 >= 2 and seq[s - 3] == 1:
         s -= 1
     if not 2 <= r < s <= n + 2:
-        raise InternalInvariantError("regular-run indices out of order")
+        raise invariant_violation("regularity", seq, "regular-run indices out of order")
     slack = n + r - s
     if slack < 0:
-        raise InternalInvariantError("slack n + r - s went negative")
+        raise invariant_violation("regularity", seq, "slack n + r - s went negative")
     return RegularityReport(
         n=n,
         k=seq,
@@ -239,24 +420,22 @@ def is_lebrun(fan: HalfFan) -> bool:
     )
 
 
-def sequence_summary(seq: tuple[int, ...]) -> dict:
+def sequence_summary(seq: Weights) -> dict:
     """The invariant report of a weight sequence as a plain dict.
 
     Keys: n, k, m, trace, l_plus, l_minus, l, r, s, slack, deformable.
     """
-    trace = reduction_trace(seq)
-    div = trace_divisor(trace)
-    reg = regularity(seq)
+    rec = analyze_sequence(seq)
     return {
-        "n": trace.n,
-        "k": seq,
-        "m": trace.m,
-        "trace": trace.steps,
-        "l_plus": div.plus,
-        "l_minus": div.minus,
-        "l": l_vector(div),
-        "r": reg.r,
-        "s": reg.s,
-        "slack": reg.slack,
-        "deformable": reg.deformable,
+        "n": rec.n,
+        "k": rec.k,
+        "m": rec.m,
+        "trace": rec.trace.steps,
+        "l_plus": rec.l_plus,
+        "l_minus": rec.l_minus,
+        "l": rec.l,
+        "r": rec.r,
+        "s": rec.s,
+        "slack": rec.slack,
+        "deformable": rec.deformable,
     }

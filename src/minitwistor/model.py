@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInvariantError, InvalidParameterError
+from .errors import InternalInvariantError, InvalidParameterError, invariant_violation
 from .exact import INF, Infinity, Scalar
-from .invariants import l_vector, reduction_trace, trace_divisor
+from .invariants import Weights, analyze_sequence
 
 
 def default_lambdas(n: int) -> tuple[Scalar, ...]:
@@ -97,7 +97,10 @@ def rhs_polynomial(
     coeffs = coeffs + [Fraction(0)]  # factor u_{n+2}
     form = BinaryForm(degree=len(coeffs) - 1, coefficients=tuple(coeffs))
     if form.degree != sum(lvec):
-        raise InternalInvariantError("expanded degree disagrees with the multiplicity sum")
+        raise InternalInvariantError(
+            f"rhs_polynomial: l = ({','.join(str(l) for l in lvec)}): "
+            "expanded degree disagrees with the multiplicity sum"
+        )
     return form
 
 
@@ -133,7 +136,9 @@ def quadratic_split(form: BinaryForm, m: int) -> QuadraticForm:
             terms[(d // 2, (d + 1) // 2)] = cf
     split = QuadraticForm(m=m, terms=terms)
     if split.pullback() != form:
-        raise InternalInvariantError("balanced split does not pull back to its input")
+        raise InternalInvariantError(
+            f"quadratic_split: m = {m}: balanced split does not pull back to its input"
+        )
     return split
 
 
@@ -225,22 +230,22 @@ class MinitwistorModel:
 
 
 def minitwistor_model(
-    seq: tuple[int, ...],
+    seq: Weights,
     lambdas: tuple[Scalar, ...] | None = None,
     c_sign: int = 1,
 ) -> MinitwistorModel:
-    """Synthesize the model surface for a weight sequence.
+    """Synthesize the model surface for a weight sequence or its analysis
+    record.
 
     lambdas defaults to (0, 1, ..., n, inf); c to +1.
     """
-    trace = reduction_trace(seq)
-    lvec = l_vector(trace_divisor(trace))
-    n, m = trace.n, trace.m
+    rec = analyze_sequence(seq)
+    lvec, n, m = rec.l, rec.n, rec.m
     if lambdas is None:
         lambdas = default_lambdas(n)
     form = rhs_polynomial(lvec, lambdas, c_sign)
     if form.degree != 2 * m:
-        raise InternalInvariantError("model degree is not 2m")
+        raise invariant_violation("minitwistor_model", rec.k, "model degree is not 2m")
     split = quadratic_split(form, m)
     return MinitwistorModel(
         m=m,

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .conic_bundle import BlowUpSchedule, DiscriminantReport
-from .exact import Infinity, format_scalar
+from .exact import Infinity, decimal, format_scalar
 from .model import MinitwistorModel, QuadraticForm
 
 
@@ -72,9 +72,9 @@ def equation_latex(model: MinitwistorModel) -> str:
         if mag == 1:
             body = mono
         elif mag.denominator == 1:
-            body = f"{mag.numerator}{mono}"
+            body = f"{decimal(mag.numerator)}{mono}"
         else:
-            body = f"\\tfrac{{{mag.numerator}}}{{{mag.denominator}}}{mono}"
+            body = f"\\tfrac{{{decimal(mag.numerator)}}}{{{decimal(mag.denominator)}}}{mono}"
         rendered.append((1 if coeff > 0 else -1, body))
     return f"z_{{{m + 1}}}z_{{{m + 2}}} = " + _join_terms(rendered)
 

@@ -14,10 +14,13 @@ from minitwistor import (
     fibonacci,
     growth_report,
     insertions,
+    l_vector,
+    regularity,
     resolve_cache_dir,
     reduction_trace,
     reversal_canonical,
     sequence_l_vector,
+    trace_divisor,
     u1_classes,
     u1_classes_cached,
     u1_key,
@@ -130,19 +133,23 @@ def test_level4_representatives_match_known_seven():
 
 
 def test_class_structure():
-    classes, _ = u1_classes(5)
-    for cls in classes:
-        assert cls.canonical in cls.members
-        for member in cls.members:
-            assert member[::-1] in cls.members
-            assert u1_key(member) == cls.u1_key
-            assert reduction_trace(member).m == cls.m
-        assert cls.l == sequence_l_vector(cls.canonical)
+    # m, l and slack of every class against the decrement-simulation oracle
+    for n in range(9):
+        classes, _ = u1_classes(n)
+        for cls in classes:
+            assert cls.canonical in cls.members
+            slacks = []
+            for member in cls.members:
+                assert member[::-1] in cls.members
+                assert u1_key(member) == cls.u1_key
+                assert reduction_trace(member).m == cls.m
+                if not regularity(member).semi_free:
+                    slacks.append(regularity(member).slack)
+            assert cls.l == l_vector(trace_divisor(reduction_trace(cls.canonical)))
+            assert cls.slack == (max(slacks) if slacks else None)
 
 
 def test_class_slack_is_max_over_members():
-    from minitwistor import regularity
-
     classes, _ = u1_classes(5)
     by_key = {cls.u1_key: cls for cls in classes}
     mixed = by_key[((2,), (2,))]

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+
+from minitwistor.cli import main
 
 
 def run_cli(*args, env_extra=None):
@@ -155,3 +159,59 @@ def test_tables_lebrun_and_involutive():
 def test_tables_requires_n():
     result = run_cli("tables", "lebrun")
     assert result.returncode == 2
+
+
+def run_main(argv):
+    """Exit code and stdout of an in-process CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_tables_reject_empty_ranges(capsys):
+    assert main(["tables", "delta", "--n-max", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--n-max >= 0" in captured.err
+    assert main(["tables", "fibonacci", "--n-max", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--n-max >= 2" in captured.err
+
+
+def test_equation_past_the_int_to_str_limit():
+    # three 2000-digit interior lambdas give coefficients of about 14000 digits
+    big = [str(10**1999 + i) for i in range(3)]
+    argv = ["equation", "--seq", "1,2,5,3,1", "--lambda", ",".join(["0", "1", *big, "inf"])]
+    formats = ("text", "latex", "json")
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        rendered = {fmt: run_main(argv + ["--format", fmt]) for fmt in formats}
+        sys.set_int_max_str_digits(0)
+        expected = {fmt: run_main(argv + ["--format", fmt]) for fmt in formats}
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert rendered == expected
+    assert all(code == 0 for code, _ in rendered.values())
+    assert max(len(token) for token in rendered["text"][1].split()) > 4300
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # about 185 kB of output, far past the pipe buffer, so the writer hits
+    # the closed pipe mid-stream
+    env = dict(os.environ)
+    env.pop("MTF_CACHE_DIR", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "minitwistor", "catalog", "--classes", "marked", "--n", "10",
+         "--no-cache"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert first == b"n = 10: 8440 marked sequences up to reversal\n"
+    assert err == b""

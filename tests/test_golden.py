@@ -1,0 +1,51 @@
+"""CLI stdout pinned byte for byte: sha256 digests of a fixed set of requests.
+
+The digests were recorded from the implementation that ran the decrement
+simulation on every request; the closed-form analysis record must reproduce
+every byte.  A deliberate change of output updates the digest with it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from minitwistor.cli import main
+
+GOLDEN = (
+    ("analyze --seq 1,2,5,3,1 --format text", "1fd5201667a3ea046f1c25e6362f6f0d5ab4c3bed3f5320623c61f54a2924809"),
+    ("analyze --seq 1,2,5,3,1 --format json", "12ce41d92aaa4b5497e3da6edd0c8b5adeb578c40bd0c30adb44d87a48d67dc7"),
+    ("analyze --seq 1,2,5,3,1 --format latex", "3bf47578972011b7a850d19da9926afc1adb1aedbd2eb698437c901b16b0696f"),
+    ("deform-check --seq 1,2,5,3,1 --format text", "0b93f79e827487e803e5159b08a07b243249bbb9b4f48b58b15926ec5c1cbc5f"),
+    ("schedule --seq 1,2,5,3,1 --format text", "3b930586e5e1d813fb82a659d1ece8bbb8f31ac405345aedf414115fcf1fdaeb"),
+    ("deform-check --seq 1,2,5,3,1 --format json", "576c38ec782e382311eb0c95bc58d2ef65a6c4715bfa134ed4e9b0209235ea08"),
+    ("schedule --seq 1,2,5,3,1 --format json", "5d08a2d6586e664d8e01a190a5100f5613c2fbea14bc1f8d513113c1f18475cb"),
+    ("analyze --seq 1,1,2,5,3,1,2,1,1,1 --format text", "9f30c112d6acb187590367268eeb65f9eba00c8095687bc04895db981d58c35a"),
+    ("analyze --seq 1,1,2,5,3,1,2,1,1,1 --format json", "12143ee8de84a2e91c43a7afea1bae770f44c34ff3b8d9a52353b924c212fa13"),
+    ("analyze --seq 1,1,2,5,3,1,2,1,1,1 --format latex", "5121b04f18e6abf4792ab32e4eaa7bae0a45552554415742fbf2fea4fa89a256"),
+    ("deform-check --seq 1,1,2,5,3,1,2,1,1,1 --format text", "bae89efe01c85c1448432f43572b6edfaeb97f9ce672f8f316c600c579772de7"),
+    ("schedule --seq 1,1,2,5,3,1,2,1,1,1 --format text", "59d29bbb8d06d4ea94f6c1b9174beab654eee7a7faaecc1873f1d435157f87c7"),
+    ("deform-check --seq 1,1,2,5,3,1,2,1,1,1 --format json", "62b2f6bcb437982429ceab038b4e5e2f0027ae88ab5d6dc07890a8644f4bb834"),
+    ("schedule --seq 1,1,2,5,3,1,2,1,1,1 --format json", "e9217fb077b859c1285685631bb23824e3bea562ca2934349a785643c89f8a16"),
+    ("catalog --n 6 --classes u1 --format text --no-cache", "87644025909d410d5df16664063e4a4389f9282c86d6040a007a6e673cfdd519"),
+    ("catalog --n 6 --classes u1 --format json --no-cache", "f05e9a28aca4457586f840d3dbdf55165a757c219d6351b115551af11977cf58"),
+    ("catalog --n 6 --classes marked --format text --no-cache", "783514d7a3dd41eab8b3cb142eb4c1b829d3119166e45fab5d36c52f0d27e9e4"),
+    ("catalog --n 6 --classes marked --format json --no-cache", "9d8a410ac44c8bf4f07e1a8340fef3fa60414c27d61134d08928336bf2bc2e4a"),
+    ("equation --seq 1,2,5,3,1 --lambda 0,1/2,7/3,5,11/2,inf --c -1 --format text", "23ad54f1862c760816a84a8367d037579b43bd8d4f81439e8ef27d927033ccc5"),
+    ("equation --seq 1,2,5,3,1 --lambda 0,1/2,7/3,5,11/2,inf --c -1 --format json", "ec88b63699c212479ef224aea2a4ca182cd28851e50c494a4165e4b9e09caffb"),
+    ("equation --seq 1,2,5,3,1 --lambda 0,1/2,7/3,5,11/2,inf --c -1 --format latex", "e7beacf4d623b161e399579cff5a9d43cd116decaaa35305f23851e331c304a5"),
+    ("tables fibonacci --n-max 9 --format json", "ec02bff9cb7a28d87d33d7f415f7c18c6f35e7a7db8843e7cb706da23b85a0c2"),
+    ("tables involutive --n 7", "d04df832f98b26988579af909ca362553fd8b1afc5ed7e0c5fae9297eb35eea2"),
+    ("tables lebrun --n 7 --format json", "f1c0a2a45fee39914ae04d6088df499f05fe46f9afe912e5cba6972f6df024ba"),
+)
+
+
+@pytest.mark.parametrize(("argv", "digest"), GOLDEN, ids=[argv for argv, _ in GOLDEN])
+def test_stdout_digest(argv, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv.split()) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
