@@ -22,7 +22,7 @@ from minitwistor import (
 
 print("marked sequences and class counts:")
 print("n   marked(rev-classes)  delta(n)  delta/n^2")
-for row in growth_report(8).rows:
+for row in growth_report(8):
     ratio = "-" if row.ratio is None else str(row.ratio)
     print(f"{row.n}   {row.marked_classes:>6}               {row.delta:>4}      {ratio}")
 

@@ -249,12 +249,7 @@ class DeltaRow:
     ratio: Fraction | None
 
 
-@dataclass(frozen=True)
-class DeltaTable:
-    rows: tuple[DeltaRow, ...]
-
-
-def growth_report(n_max: int) -> DeltaTable:
+def growth_report(n_max: int) -> tuple[DeltaRow, ...]:
     """delta(n), reversal-class counts and delta(n)/n^2 for n = 0..n_max.
     Nondecreasing delta is asserted (prepending 1 embeds classes injectively);
     the quadratic lower bound is reported, never asserted."""
@@ -275,7 +270,7 @@ def growth_report(n_max: int) -> DeltaTable:
                 ratio=Fraction(delta, n * n) if n else None,
             )
         )
-    return DeltaTable(rows=tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +346,14 @@ class CatalogCache:
                 for cls in classes
             ],
         }
+        # write beside the target and rename over it, so a reader never sees
+        # a partly written file
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+            tmp.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+            os.replace(tmp, path)
         except OSError:
+            tmp.unlink(missing_ok=True)
             return None
         return path
 

@@ -221,8 +221,8 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 def _tables_delta(args: argparse.Namespace) -> int:
     if args.n_max < 0:
         raise InvalidParameterError("tables delta needs --n-max >= 0")
-    table = cat.growth_report(args.n_max)
-    deltas = tuple(row.delta for row in table.rows)
+    rows = cat.growth_report(args.n_max)
+    deltas = tuple(row.delta for row in rows)
     expected = cat.KNOWN_DELTA[: min(len(deltas), len(cat.KNOWN_DELTA))]
     if deltas[: len(expected)] != expected:
         raise InternalInvariantError(
@@ -230,10 +230,10 @@ def _tables_delta(args: argparse.Namespace) -> int:
             f"differs from {expected}"
         )
     if args.format == "json":
-        sys.stdout.write(dumps(table))
+        sys.stdout.write(dumps({"rows": rows}))
     else:
         print("n  delta  marked  delta/n^2")
-        for row in table.rows:
+        for row in rows:
             ratio = "-" if row.ratio is None else format_scalar(row.ratio)
             print(f"{row.n}  {row.delta}  {row.marked_classes}  {ratio}")
     return 0

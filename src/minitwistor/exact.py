@@ -56,10 +56,49 @@ def parse_scalar(text: str) -> Scalar:
     try:
         if "/" in t:
             num, den = t.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(t))
+            return Fraction(_parse_int(num), _parse_int(den))
+        return Fraction(_parse_int(t))
     except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidParameterError(f"cannot parse rational {text!r}") from exc
+        raise InvalidParameterError(f"cannot parse rational {_quote(text)}") from exc
+
+
+#: Error messages quote at most this many characters of a token.
+_QUOTE_CHARS = 40
+
+
+def _quote(text: str) -> str:
+    if len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
+
+
+#: Digit strings of at most this many characters convert with one int()
+#: call, well inside CPython's default 4300-digit limit.
+_CHUNK_DIGITS = 1233
+
+
+def _parse_int(text: str) -> int:
+    """int(text), whatever the interpreter's str-to-int digit limit.
+
+    Everything int() accepts takes that path; a plain, optionally signed
+    ASCII digit string that int() refuses for its length is split in half,
+    recursively, so every int() call stays under the limit.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+        value = _join_digits(digits)
+        return -value if text[0] == "-" else value
+
+
+def _join_digits(digits: str) -> int:
+    if len(digits) <= _CHUNK_DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return _join_digits(digits[:-half]) * 10**half + _join_digits(digits[-half:])
 
 
 #: Integers of at most this many bits (about 1233 digits) convert with one

@@ -72,13 +72,6 @@ class HalfFan:
         """All 2(n+2) rays of the doubled fan, in cyclic angular order."""
         return self.rays + tuple(_neg(v) for v in self.rays)
 
-    def to_json(self) -> list[list[int]]:
-        return [[x, y] for x, y in self.rays]
-
-    @classmethod
-    def from_json(cls, data: list[list[int]]) -> "HalfFan":
-        return cls(tuple((int(x), int(y)) for x, y in data))
-
 
 def validate_sequence(seq: tuple[int, ...]) -> tuple[Ray, ...]:
     """Raise InvalidSequenceError naming the rule a weight sequence breaks.

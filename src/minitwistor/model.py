@@ -17,12 +17,19 @@ lambda_1 = 0 and lambda_{n+2} = infinity.  Q is determined only up to the
 ideal of the rational normal curve; the canonical choice here is the balanced
 split of each monomial, and equality of two splits is decided by comparing
 pullbacks.  Everything is exact rational arithmetic.
+
+The binary form is expanded in integers: with lambda_i = p_i / q_i, each
+factor (u_1 - lambda_i u_{n+2})^{l_i} is q_i^{-l_i} (q_i u_1 - p_i u_{n+2})^{l_i},
+whose integer coefficients come from the binomial theorem.  The integer rows
+are multiplied together and the product is divided once by prod q_i^{l_i}, so
+Fractions appear only in the returned coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import InternalInvariantError, InvalidParameterError, invariant_violation
 from .exact import INF, Infinity, Scalar
@@ -67,6 +74,21 @@ class BinaryForm:
         return not any(self.coefficients)
 
 
+def _power_row(p: int, q: int, l: int) -> list[int]:
+    """Integer coefficients of (q u_1 - p u_{n+2})^l by the binomial theorem,
+    indexed by the power of u_1."""
+    return [comb(l, j) * q**j * (-p) ** (l - j) for j in range(l + 1)]
+
+
+def _multiply(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        for i, x in enumerate(a, start=j):
+            out[i] += x * y
+    return out
+
+
 def rhs_polynomial(
     lvec: tuple[int, ...], lambdas: tuple[Scalar, ...], c_sign: int = 1
 ) -> BinaryForm:
@@ -74,6 +96,11 @@ def rhs_polynomial(
 
     The boundary multiplicities must equal 1 (they always do for trace
     divisors); the result has degree 2m with m = sum(lvec) / 2.
+
+    The expansion runs in integers: lambda_i = p/q contributes the binomial
+    row of (q u_1 - p u_{n+2})^{l_i}, the rows are multiplied together and
+    the product is divided once by prod q^{l_i}.  Only the returned
+    coefficients are Fractions.
     """
     n = len(lvec) - 2
     if lvec[0] != 1 or lvec[-1] != 1:
@@ -83,19 +110,16 @@ def rhs_polynomial(
         raise InvalidParameterError("c must be +1 or -1")
     if sum(lvec) % 2:
         raise InvalidParameterError("multiplicities must sum to an even number")
-    coeffs: list[Fraction] = [Fraction(c_sign)]
-    coeffs = [Fraction(0)] + coeffs  # factor u_1
-    for i in range(2, n + 2):
-        lam = lambdas[i - 1]
-        for _ in range(lvec[i - 1]):
-            # multiply by (u_1 - lam * u_{n+2})
-            nxt = [Fraction(0)] * (len(coeffs) + 1)
-            for d, cf in enumerate(coeffs):
-                nxt[d + 1] += cf
-                nxt[d] -= lam * cf
-            coeffs = nxt
-    coeffs = coeffs + [Fraction(0)]  # factor u_{n+2}
-    form = BinaryForm(degree=len(coeffs) - 1, coefficients=tuple(coeffs))
+    product = [c_sign]
+    scale = 1
+    for l, lam in zip(lvec[1:-1], lambdas[1:-1]):
+        if l:
+            p, q = lam.numerator, lam.denominator
+            product = _multiply(product, _power_row(p, q, l))
+            scale *= q**l
+    # the factors u_1 and u_{n+2} add a zero coefficient at each end
+    coeffs = (Fraction(0), *(Fraction(x, scale) for x in product), Fraction(0))
+    form = BinaryForm(degree=len(coeffs) - 1, coefficients=coeffs)
     if form.degree != sum(lvec):
         raise InternalInvariantError(
             f"rhs_polynomial: l = ({','.join(str(l) for l in lvec)}): "

@@ -203,14 +203,14 @@ def test_criterion_09_round_trips():
 
 
 def test_criterion_10_growth():
-    table = growth_report(8)
-    deltas = [row.delta for row in table.rows]
+    rows = growth_report(8)
+    deltas = [row.delta for row in rows]
     ok = all(a <= b for a, b in zip(deltas, deltas[1:]))
     for n in range(1, 9):
         previous, _ = u1_classes(n - 1)
         images = {u1_key((1,) + cls.canonical) for cls in previous}
         ok = ok and len(images) == len(previous)
-    ok = ok and all(row.ratio is None or row.ratio > 0 for row in table.rows)
+    ok = ok and all(row.ratio is None or row.ratio > 0 for row in rows)
     # the generator of every level-n class: each parent's children cover it
     for n in range(1, 7):
         regenerated = {

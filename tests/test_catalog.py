@@ -255,12 +255,12 @@ def test_family_fibonacci_is_argmax_through_n8():
 
 
 def test_growth_report():
-    table = growth_report(8)
-    deltas = tuple(row.delta for row in table.rows)
+    rows = growth_report(8)
+    deltas = tuple(row.delta for row in rows)
     assert deltas == (1, 1, 2, 3, 7, 15, 42, 119, 376)
     assert all(a <= b for a, b in zip(deltas, deltas[1:]))
-    assert table.rows[0].ratio is None
-    for row in table.rows[1:]:
+    assert rows[0].ratio is None
+    for row in rows[1:]:
         assert row.ratio > 0
         assert row.marked_classes == MARKED_COUNTS[row.n]
 
@@ -281,6 +281,29 @@ def test_cache_rejects_corruption(tmp_path):
     cache.path(3).write_text("{not json", encoding="utf-8")
     classes, delta = u1_classes_cached(3, cache)
     assert delta == 3 and len(classes) == 3
+
+
+def test_cache_store_leaves_no_temporary_file(tmp_path):
+    cache = CatalogCache(tmp_path)
+    classes, delta = u1_classes(4)
+    assert cache.store(4, classes, delta) == cache.path(4)
+    assert os.listdir(tmp_path) == [cache.path(4).name]
+    # a store that cannot rename over its target fails and cleans up
+    blocked = CatalogCache(tmp_path / "blocked")
+    blocked.path(4).mkdir(parents=True)
+    assert blocked.store(4, classes, delta) is None
+    assert os.listdir(tmp_path / "blocked") == [blocked.path(4).name]
+
+
+def test_cache_reads_truncated_file_as_miss(tmp_path):
+    cache = CatalogCache(tmp_path)
+    classes, delta = u1_classes_cached(4, cache)
+    text = cache.path(4).read_text(encoding="utf-8")
+    for size in (0, 1, len(text) // 2, len(text) - 2):
+        cache.path(4).write_text(text[:size], encoding="utf-8")
+        assert cache.load(4) is None
+        assert u1_classes_cached(4, cache) == (classes, delta)
+        assert cache.load(4) == (classes, delta)
 
 
 def test_cache_file_schema(tmp_path):

@@ -215,3 +215,32 @@ def test_closed_stdout_pipe_exits_quietly():
     assert proc.wait(timeout=60) == 0
     assert first == b"n = 10: 8440 marked sequences up to reversal\n"
     assert err == b""
+
+
+def test_lambda_past_the_str_to_int_limit():
+    # a 4400-digit lambda is read past CPython's 4300-digit str-to-int limit;
+    # on (1,2,1) the right-hand side is u1 (u1 - u4)(u1 - L u4) u4
+    digits = "1" * 4400
+    argv = ["equation", "--seq", "1,2,1", "--lambda", f"0,1,{digits},inf", "--format", "json"]
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        big = int(digits)
+        expected = ["0", str(big), str(-(big + 1)), "1", "0"]
+        sys.set_int_max_str_digits(4300)
+        code, out = run_main(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 0
+    report = json.loads(out)
+    assert report["rhs"]["coefficients"] == expected
+    assert report["lambdas"] == ["0", "1", digits, "inf"]
+
+
+def test_malformed_long_lambda_message_is_short(capsys):
+    token = "1" * 4999 + "x"
+    assert main(["equation", "--seq", "1,2,1", "--lambda", f"0,1,{token},inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.encode()) < 200
+    assert "(5000 characters)" in captured.err

@@ -157,11 +157,6 @@ def test_validity_equals_blow_down_reachability():
             assert valid == (min(seq, seq[::-1]) in generated)
 
 
-def test_fan_json_round_trip():
-    fan = fan_from_sequence((1, 2, 5, 3, 1))
-    assert HalfFan.from_json(fan.to_json()) == fan
-
-
 def test_unnormalized_fans_are_accepted():
     # validity does not require the (1,0), (0,1) normalization
     fan = HalfFan(((1, 0), (1, 1), (0, 1)))

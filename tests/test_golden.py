@@ -37,6 +37,8 @@ GOLDEN = (
     ("equation --seq 1,2,5,3,1 --lambda 0,1/2,7/3,5,11/2,inf --c -1 --format text", "23ad54f1862c760816a84a8367d037579b43bd8d4f81439e8ef27d927033ccc5"),
     ("equation --seq 1,2,5,3,1 --lambda 0,1/2,7/3,5,11/2,inf --c -1 --format json", "ec88b63699c212479ef224aea2a4ca182cd28851e50c494a4165e4b9e09caffb"),
     ("equation --seq 1,2,5,3,1 --lambda 0,1/2,7/3,5,11/2,inf --c -1 --format latex", "e7beacf4d623b161e399579cff5a9d43cd116decaaa35305f23851e331c304a5"),
+    ("tables delta --n-max 6 --format text", "5a2c7f87d5cfb01310cd91d985263d201ac1566f8cf418206433010a6b7c04cd"),
+    ("tables delta --n-max 6 --format json", "83611b22dbc4c9b53cbbd9c42aca5bb8d6b95e5a32fd3b6b285dd82647760857"),
     ("tables fibonacci --n-max 9 --format json", "ec02bff9cb7a28d87d33d7f415f7c18c6f35e7a7db8843e7cb706da23b85a0c2"),
     ("tables involutive --n 7", "d04df832f98b26988579af909ca362553fd8b1afc5ed7e0c5fae9297eb35eea2"),
     ("tables lebrun --n 7 --format json", "f1c0a2a45fee39914ae04d6088df499f05fe46f9afe912e5cba6972f6df024ba"),

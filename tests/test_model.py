@@ -123,6 +123,66 @@ def test_rhs_matches_pointwise_product_oracle():
                     )
 
 
+def sequential_rhs(lvec, lambdas, c_sign) -> tuple[Fraction, ...]:
+    """The expansion by 2m sequential multiplications by linear factors, in
+    Fraction arithmetic: the oracle for the integer expansion."""
+    coeffs = [Fraction(0), Fraction(c_sign)]  # c * u_1
+    for i in range(2, len(lvec)):
+        lam = lambdas[i - 1]
+        for _ in range(lvec[i - 1]):
+            # multiply by (u_1 - lam * u_{n+2})
+            nxt = [Fraction(0)] * (len(coeffs) + 1)
+            for d, cf in enumerate(coeffs):
+                nxt[d + 1] += cf
+                nxt[d] -= lam * cf
+            coeffs = nxt
+    return tuple(coeffs + [Fraction(0)])  # * u_{n+2}
+
+
+def random_increasing_lambdas(rng: random.Random, n: int):
+    """0, n distinct p/q with p <= 100 and q <= 12 in increasing order, inf."""
+    values: set[Fraction] = set()
+    while len(values) < n:
+        values.add(Fraction(rng.randint(1, 100), rng.randint(1, 12)))
+    return (Fraction(0),) + tuple(sorted(values)) + (INF,)
+
+
+def test_rhs_matches_sequential_oracle_exhaustive():
+    rng = random.Random(30805)
+    for n in range(8):
+        for rep in enumerate_marked(n):
+            for seq in {rep, rep[::-1]}:
+                lvec = sequence_l_vector(seq)
+                lambdas = random_increasing_lambdas(rng, n)
+                for c_sign in (1, -1):
+                    form = rhs_polynomial(lvec, lambdas, c_sign)
+                    assert form.coefficients == sequential_rhs(lvec, lambdas, c_sign)
+
+
+def test_rhs_matches_sympy_expand():
+    sympy = pytest.importorskip("sympy")
+    u1, u2 = sympy.symbols("u1 u2")
+    rng = random.Random(42)
+    huge = sorted(rng.randrange(10**499, 10**500) for _ in range(3))
+    cases = [
+        # analyze-mix's huge-lambda shape: three 500-digit interior lambdas
+        ((1, 2, 5, 3, 1), (Fraction(0), Fraction(1), *map(Fraction, huge), INF), 1),
+        ((1, 2, 5, 3, 1), (Fraction(0), Fraction(1, 2), Fraction(7, 3), Fraction(5), Fraction(11, 2), INF), -1),
+        ((1, 2, 5, 13, 8, 3, 1), random_increasing_lambdas(rng, 6), 1),
+        ((1, 3, 2, 1, 2, 1), random_increasing_lambdas(rng, 5), -1),
+    ]
+    for seq, lambdas, c_sign in cases:
+        lvec = sequence_l_vector(seq)
+        expr = c_sign * u1 * u2
+        for l, lam in zip(lvec[1:-1], lambdas[1:-1]):
+            expr *= (u1 - sympy.Rational(lam.numerator, lam.denominator) * u2) ** l
+        poly = sympy.Poly(sympy.expand(expr), u1, u2)
+        expected = [Fraction(0)] * (sum(lvec) + 1)
+        for (d, _), cf in poly.terms():
+            expected[d] = Fraction(int(cf.p), int(cf.q))
+        assert rhs_polynomial(lvec, lambdas, c_sign).coefficients == tuple(expected)
+
+
 def test_rhs_rejects_bad_inputs():
     with pytest.raises(InvalidParameterError):
         rhs_polynomial((2, 0, 1), default_lambdas(1))
