@@ -20,7 +20,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .errors import InternalInvariantError, InvalidParameterError, invariant_violation
-from .invariants import SequenceAnalysis, analyze_sequence, deformability_slack
+from .invariants import SequenceAnalysis, analyze_sequence
 
 #: Known class counts delta(0..5); the equivalence relation must reproduce
 #: these exactly, and u1_classes fails loudly if it does not.
@@ -113,9 +113,15 @@ class CatalogClass:
 
     members holds every marked sequence of the class (closed under reversal);
     canonical is their lexicographic minimum.  m is class-invariant; l is the
-    l-vector of the canonical member; slack is the maximum slack over members
-    (slack depends on the marked action, not just the class) and None for the
-    semi-free class.
+    l-vector of the canonical member; slack is the canonical member's, which
+    is the maximum over members (slack depends on the marked action, not just
+    the class), and None for the semi-free class.
+
+    A sequence is valid exactly when every window (1, B, 1) around a maximal
+    block B of entries > 1 is valid, so every arrangement of the class's
+    blocks with ones between and around them is a member.  The canonical
+    member puts all spare ones in front, so its slack n - sum |B| - #blocks
+    is the maximum.
     """
 
     canonical: tuple[int, ...]
@@ -129,15 +135,13 @@ class CatalogClass:
 def _build_class(reps: list[tuple[int, ...]]) -> CatalogClass:
     members = sorted({orient for rep in reps for orient in (rep, rep[::-1])})
     canonical = analyze_sequence(members[0])
-    slacks = [canonical.slack, *map(deformability_slack, members[1:])]
-    slacks = [slack for slack in slacks if slack is not None]
     return CatalogClass(
         canonical=canonical.k,
         members=tuple(members),
         u1_key=u1_key(canonical.k),
         m=canonical.m,
         l=canonical.l,
-        slack=max(slacks) if slacks else None,
+        slack=canonical.slack,
     )
 
 
@@ -300,29 +304,28 @@ class CatalogCache:
         return self.directory / f"catalog_n{n}.json"
 
     def load(self, n: int) -> tuple[list[CatalogClass], int] | None:
-        path = self.path(n)
-        if not path.exists():
-            return None
+        # a missing, unreadable, truncated or wrongly shaped file is a miss
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+            data = json.loads(self.path(n).read_text(encoding="utf-8"))
+            if data["version"] != self.VERSION or data["n"] != n:
+                return None
+            classes = [
+                CatalogClass(
+                    canonical=tuple(entry["canonical"]),
+                    members=tuple(tuple(mem) for mem in entry["members"]),
+                    u1_key=tuple(tuple(block) for block in entry["u1_key"]),
+                    m=entry["m"],
+                    l=tuple(entry["l"]),
+                    slack=entry["slack"],
+                )
+                for entry in data["classes"]
+            ]
+            delta = data["delta"]
+        except (OSError, ValueError, LookupError, TypeError):
             return None
-        if data.get("version") != self.VERSION or data.get("n") != n:
-            return None
-        classes = [
-            CatalogClass(
-                canonical=tuple(entry["canonical"]),
-                members=tuple(tuple(mem) for mem in entry["members"]),
-                u1_key=tuple(tuple(block) for block in entry["u1_key"]),
-                m=entry["m"],
-                l=tuple(entry["l"]),
-                slack=entry["slack"],
-            )
-            for entry in data["classes"]
-        ]
         if n < len(KNOWN_DELTA) and len(classes) != KNOWN_DELTA[n]:
             return None
-        return classes, data["delta"]
+        return classes, delta
 
     def store(self, n: int, classes: list[CatalogClass], delta: int) -> Path | None:
         path = self.path(n)

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .exact import format_scalar, parse_scalar
 from .invariants import analyze_sequence, restriction_multiplicities, sequence_summary
-from .model import minitwistor_model, validate_lambdas
+from .model import minitwistor_model
 from .render import (
     discriminant_latex,
     discriminant_text,
@@ -43,12 +43,11 @@ def _parse_sequence(text: str) -> tuple[int, ...]:
     return seq
 
 
-def _parse_lambdas(text: str | None, n: int):
+def _parse_lambdas(text: str | None):
+    # only parses: rhs_polynomial validates the tuple when the model is built
     if text is None:
         return None
-    values = tuple(parse_scalar(token) for token in text.split(","))
-    validate_lambdas(values, n)
-    return values
+    return tuple(parse_scalar(token) for token in text.split(","))
 
 
 def _parse_c(text: str) -> int:
@@ -70,7 +69,7 @@ def _format_seq(seq: tuple[int, ...]) -> str:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     seq = _parse_sequence(args.seq)
     rec = analyze_sequence(seq)
-    lambdas = _parse_lambdas(args.lambdas, rec.n)
+    lambdas = _parse_lambdas(args.lambdas)
     c_sign = _parse_c(args.c)
     model = minitwistor_model(rec, lambdas, c_sign)
     cycle, conj_cycle = restriction_multiplicities(rec.divisor, rec)
@@ -125,8 +124,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_equation(args: argparse.Namespace) -> int:
     seq = _parse_sequence(args.seq)
-    n = len(seq) - 1
-    lambdas = _parse_lambdas(args.lambdas, n)
+    lambdas = _parse_lambdas(args.lambdas)
     model = minitwistor_model(seq, lambdas, _parse_c(args.c))
     if args.format == "json":
         sys.stdout.write(dumps(model))
@@ -221,14 +219,8 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 def _tables_delta(args: argparse.Namespace) -> int:
     if args.n_max < 0:
         raise InvalidParameterError("tables delta needs --n-max >= 0")
+    # u1_classes already gates each delta(n) against KNOWN_DELTA
     rows = cat.growth_report(args.n_max)
-    deltas = tuple(row.delta for row in rows)
-    expected = cat.KNOWN_DELTA[: min(len(deltas), len(cat.KNOWN_DELTA))]
-    if deltas[: len(expected)] != expected:
-        raise InternalInvariantError(
-            f"tables delta: regenerated delta table {deltas[:len(expected)]} "
-            f"differs from {expected}"
-        )
     if args.format == "json":
         sys.stdout.write(dumps({"rows": rows}))
     else:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError
-from .fans import HalfFan, self_intersections
 from .invariants import Weights, analyze_sequence
 
 
@@ -103,7 +102,7 @@ class BlowUpSchedule:
     One stage suffices in the semi-free case m = 1; otherwise the multiplicity
     vector empties out one unit per stage and the count is max(l_i) + 2.  The
     normal bundle of the distinguished exceptional divisor is the pullback of
-    O(l+1, -1) with l the self-intersection of the marked component.
+    O(l+1, -1) with l = C_1^2 the self-intersection of the marked component.
     """
 
     n: int
@@ -119,12 +118,16 @@ class BlowUpSchedule:
 
 def blow_up_schedule(seq: Weights) -> BlowUpSchedule:
     """The base-locus elimination ledger of a weight sequence or its analysis
-    record; the normal bundle comes from the half-fan of the stored rays."""
+    record.
+
+    The normal bundle comes from the stored ray chain: the neighbors of
+    v_1 = (1, 0) are v_2 = (0, 1) and -v_{n+2}, so -v_{n+2} + v_2 =
+    -(C_1^2) v_1 makes C_1^2 the first coordinate of v_{n+2}.
+    """
     rec = analyze_sequence(seq)
     lvec, n, m = rec.l, rec.n, rec.m
     plus, minus = rec.l_plus, rec.l_minus
-    marked_self_int = self_intersections(HalfFan(rec.rays))[0]
-    normal_bundle = (marked_self_int + 1, -1)
+    normal_bundle = (rec.rays[-1][0] + 1, -1)
 
     stages = [
         BlowUpStage(

@@ -196,15 +196,6 @@ def _end_runs(k: tuple[int, ...]) -> tuple[int, int] | None:
     return lead, trail
 
 
-def deformability_slack(seq: tuple[int, ...]) -> int | None:
-    """The slack lead + trail - 2 of a weight sequence, validating it once;
-    None for the semi-free sequence.  For callers that need nothing else of
-    the record, such as the catalog's non-canonical members."""
-    validate_sequence(seq)
-    runs = _end_runs(seq)
-    return None if runs is None else runs[0] + runs[1] - 2
-
-
 def _weights(seq: Weights) -> tuple[int, ...]:
     return seq.k if isinstance(seq, SequenceAnalysis) else seq
 

@@ -70,9 +70,6 @@ class BinaryForm:
         if len(self.coefficients) != self.degree + 1:
             raise InvalidParameterError("coefficient list does not match the degree")
 
-    def is_zero(self) -> bool:
-        return not any(self.coefficients)
-
 
 def _power_row(p: int, q: int, l: int) -> list[int]:
     """Integer coefficients of (q u_1 - p u_{n+2})^l by the binomial theorem,
@@ -95,7 +92,8 @@ def rhs_polynomial(
     """Expand c * u_1 * prod (u_1 - lambda_i u_{n+2})^{l_i} * u_{n+2} exactly.
 
     The boundary multiplicities must equal 1 (they always do for trace
-    divisors); the result has degree 2m with m = sum(lvec) / 2.
+    divisors); the result has degree 2m with m = sum(lvec) / 2.  This is the
+    one place that validates lambdas: the CLI passes them on as parsed.
 
     The expansion runs in integers: lambda_i = p/q contributes the binomial
     row of (q u_1 - p u_{n+2})^{l_i}, the rows are multiplied together and

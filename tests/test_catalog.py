@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 
 from minitwistor import (
     FIBONACCI_TABLE,
@@ -14,6 +15,7 @@ from minitwistor import (
     fibonacci,
     growth_report,
     insertions,
+    is_valid_sequence,
     l_vector,
     regularity,
     resolve_cache_dir,
@@ -147,6 +149,57 @@ def test_class_structure():
                     slacks.append(regularity(member).slack)
             assert cls.l == l_vector(trace_divisor(reduction_trace(cls.canonical)))
             assert cls.slack == (max(slacks) if slacks else None)
+            if cls.u1_key:
+                # every spare one sits in the canonical member's leading run
+                assert cls.slack == n - sum(map(len, cls.u1_key)) - len(cls.u1_key)
+
+
+def window_blocks(max_level):
+    """Blocks B of entries > 1 whose window (1, B, 1) is a valid sequence."""
+    return [
+        seq[1:-1]
+        for n in range(2, max_level + 1)
+        for seq in enumerate_marked(n)
+        if len(seq) >= 3 and min(seq[1:-1]) > 1
+    ]
+
+
+def assemble(blocks, runs):
+    """Interleave runs of ones with blocks: runs[0], blocks[0], runs[1], ..."""
+    seq = runs[0]
+    for block, run in zip(blocks, runs[1:]):
+        seq += block + run
+    return seq
+
+
+def test_validity_is_local_to_block_windows():
+    # the lemma behind CatalogClass.slack: after an entry 1 the ray chain
+    # restarts, so a sequence is valid exactly when every window (1, B, 1)
+    # is, whatever the order, orientation and spacing of the blocks
+    rng = random.Random(805_0042)
+    blocks = window_blocks(7)
+    for _ in range(300):
+        chosen = [rng.choice(blocks) for _ in range(rng.randint(1, 4))]
+        chosen = [b[::-1] if rng.random() < 0.5 else b for b in chosen]
+        runs = [(1,) * rng.randint(1, 3) for _ in range(len(chosen) + 1)]
+        assert is_valid_sequence(assemble(chosen, runs))
+        # raising one entry of one block breaks its window and the sequence
+        target = rng.randrange(len(chosen))
+        block = chosen[target]
+        position = rng.randrange(len(block))
+        broken = block[:position] + (block[position] + 1,) + block[position + 1 :]
+        assert not is_valid_sequence((1,) + broken + (1,))
+        parts = chosen[:target] + [broken] + chosen[target + 1 :]
+        assert not is_valid_sequence(assemble(parts, runs))
+
+
+def test_u1_classes_validate_each_class_once(count_calls):
+    for n in (6, 7, 8):
+        enumerate_marked(n)  # warm the level, which validates nothing
+        calls = count_calls("fans", "validate_sequence")
+        classes, delta = u1_classes(n)
+        assert len(calls) == delta == len(classes)
+        assert sorted(args[0] for args in calls) == sorted(cls.canonical for cls in classes)
 
 
 def test_class_slack_is_max_over_members():
@@ -278,9 +331,14 @@ def test_cache_round_trip(tmp_path):
 def test_cache_rejects_corruption(tmp_path):
     cache = CatalogCache(tmp_path)
     u1_classes_cached(3, cache)
-    cache.path(3).write_text("{not json", encoding="utf-8")
-    classes, delta = u1_classes_cached(3, cache)
-    assert delta == 3 and len(classes) == 3
+    no_members = json.loads(cache.path(3).read_text(encoding="utf-8"))
+    del no_members["classes"][0]["members"]
+    # unparsable text, then JSON of the wrong shape
+    for text in ("{not json", "[1,2]", json.dumps(no_members), '"catalog"', "7"):
+        cache.path(3).write_text(text, encoding="utf-8")
+        assert cache.load(3) is None
+        classes, delta = u1_classes_cached(3, cache)
+        assert delta == 3 and len(classes) == 3
 
 
 def test_cache_store_leaves_no_temporary_file(tmp_path):

@@ -56,6 +56,24 @@ def test_analyze_rejects_bad_lambdas():
     assert result.returncode == 0
 
 
+def test_lambdas_validated_once_per_request(count_calls):
+    # the CLI only parses --lambda; rhs_polynomial validates it
+    calls = count_calls("model", "validate_lambdas")
+    requests = [
+        [command, "--seq", "1,2,5,3,1", "--lambda", "0,1/2,1,7/3,5,inf", "--format", fmt]
+        for command in ("equation", "analyze")
+        for fmt in ("text", "json", "latex")
+    ]
+    for argv in requests:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    assert len(calls) == len(requests)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["equation", "--seq", "1,2,1", "--lambda", "0,2,1,inf"]) == 2
+    assert "strictly increasing" in err.getvalue()
+    assert len(calls) == len(requests) + 1
+
+
 def test_analyze_byte_determinism():
     first = run_cli("analyze", "--seq", "1,2,5,13,8,3,1", "--format", "json")
     second = run_cli("analyze", "--seq", "1,2,5,13,8,3,1", "--format", "json")

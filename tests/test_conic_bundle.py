@@ -8,7 +8,9 @@ from minitwistor import (
     discriminant_deformed,
     discriminant_joyce,
     enumerate_marked,
+    fan_from_sequence,
     regularity,
+    self_intersections,
     sequence_l_vector,
 )
 
@@ -156,3 +158,14 @@ def test_schedule_normal_bundle():
     assert blow_up_schedule((1,)).normal_bundle == (1, -1)
     assert blow_up_schedule((1, 1)).normal_bundle == (0, -1)
     assert blow_up_schedule((1, 2, 5, 3, 1)).normal_bundle == (0, -1)
+
+
+def test_schedule_normal_bundle_matches_self_intersections():
+    # C_1^2 read off the stored ray v_{n+2} against the half-fan oracle
+    count = 0
+    for n in range(10):
+        for seq in oriented_sequences(n):
+            expected = self_intersections(fan_from_sequence(seq))[0] + 1
+            assert blow_up_schedule(seq).normal_bundle == (expected, -1)
+            count += 1
+    assert count == 6918
