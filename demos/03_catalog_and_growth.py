@@ -27,7 +27,7 @@ for row in growth_report(8):
     print(f"{row.n}   {row.marked_classes:>6}               {row.delta:>4}      {ratio}")
 
 print("\nthe seven classes at n = 4:")
-for cls in u1_classes(4)[0]:
+for cls in u1_classes(4):
     blocks = " ".join(str(list(b)) for b in cls.u1_key) or "(none)"
     print(f"  {cls.canonical}  blocks: {blocks}  members: {len(cls.members)}")
 

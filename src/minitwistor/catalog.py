@@ -132,33 +132,34 @@ class CatalogClass:
     slack: int | None
 
 
-def _build_class(reps: list[tuple[int, ...]]) -> CatalogClass:
+def _build_class(key: tuple[tuple[int, ...], ...], reps: list[tuple[int, ...]]) -> CatalogClass:
     members = sorted({orient for rep in reps for orient in (rep, rep[::-1])})
     canonical = analyze_sequence(members[0])
     return CatalogClass(
         canonical=canonical.k,
         members=tuple(members),
-        u1_key=u1_key(canonical.k),
+        u1_key=key,
         m=canonical.m,
         l=canonical.l,
         slack=canonical.slack,
     )
 
 
-def u1_classes(n: int) -> tuple[list[CatalogClass], int]:
-    """Group the level-n sequences into circle-action classes; returns the
-    classes (sorted by canonical member) and their count delta(n)."""
+def u1_classes(n: int) -> list[CatalogClass]:
+    """Group the level-n sequences into circle-action classes, sorted by
+    canonical member; delta(n) is their number."""
     groups: dict[tuple, list[tuple[int, ...]]] = {}
     for rep in enumerate_marked(n):
         groups.setdefault(u1_key(rep), []).append(rep)
-    classes = sorted((_build_class(reps) for reps in groups.values()), key=lambda c: c.canonical)
-    delta = len(classes)
-    if n < len(KNOWN_DELTA) and delta != KNOWN_DELTA[n]:
+    classes = sorted(
+        (_build_class(key, reps) for key, reps in groups.items()), key=lambda c: c.canonical
+    )
+    if n < len(KNOWN_DELTA) and len(classes) != KNOWN_DELTA[n]:
         raise InternalInvariantError(
-            f"u1_classes: n = {n}: equivalence relation produced delta({n}) = {delta}, "
+            f"u1_classes: n = {n}: equivalence relation produced delta({n}) = {len(classes)}, "
             f"expected {KNOWN_DELTA[n]}"
         )
-    return classes, delta
+    return classes
 
 
 @dataclass(frozen=True)
@@ -260,7 +261,7 @@ def growth_report(n_max: int) -> tuple[DeltaRow, ...]:
     rows = []
     previous = 0
     for n in range(n_max + 1):
-        _, delta = u1_classes(n)
+        delta = len(u1_classes(n))
         if delta < previous:
             raise InternalInvariantError(
                 f"growth_report: n = {n}: delta decreased between n = {n - 1} and n = {n}"
@@ -281,36 +282,31 @@ def growth_report(n_max: int) -> tuple[DeltaRow, ...]:
 # JSON cache for repeated CLI invocations
 
 
-def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
-    """Cache directory: explicit argument, then $MTF_CACHE_DIR, then
-    ~/.cache/minitwistor."""
-    if explicit is not None:
-        return Path(explicit)
-    env = os.environ.get("MTF_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "minitwistor"
-
-
 class CatalogCache:
-    """Per-n JSON cache of the class catalog."""
+    """Per-n JSON cache of the class catalog, by default in
+    ~/.cache/minitwistor."""
 
-    VERSION = 1
+    VERSION = 2
 
     def __init__(self, directory: str | os.PathLike | None = None):
-        self.directory = resolve_cache_dir(directory)
+        self.directory = (
+            Path.home() / ".cache" / "minitwistor" if directory is None else Path(directory)
+        )
 
     def path(self, n: int) -> Path:
         return self.directory / f"catalog_n{n}.json"
 
-    def load(self, n: int) -> tuple[list[CatalogClass], int] | None:
-        # a missing, unreadable, truncated or wrongly shaped file is a miss
+    def load(self, n: int) -> list[CatalogClass] | None:
+        # a missing, unreadable, truncated or wrongly shaped file is a miss.
+        # Each class is checked once, without walking its members' entries;
+        # type() rather than isinstance, since JSON true is no count.
         try:
             data = json.loads(self.path(n).read_text(encoding="utf-8"))
             if data["version"] != self.VERSION or data["n"] != n:
                 return None
-            classes = [
-                CatalogClass(
+            classes = []
+            for entry in data["classes"]:
+                cls = CatalogClass(
                     canonical=tuple(entry["canonical"]),
                     members=tuple(tuple(mem) for mem in entry["members"]),
                     u1_key=tuple(tuple(block) for block in entry["u1_key"]),
@@ -318,37 +314,28 @@ class CatalogCache:
                     l=tuple(entry["l"]),
                     slack=entry["slack"],
                 )
-                for entry in data["classes"]
-            ]
-            delta = data["delta"]
+                if not (
+                    cls.canonical == cls.members[0]
+                    and type(cls.m) is int
+                    and (cls.slack is None or type(cls.slack) is int)
+                    and len(cls.l) == len(cls.canonical) + 1
+                    and all(type(x) is int for x in cls.l)
+                ):
+                    return None
+                classes.append(cls)
         except (OSError, ValueError, LookupError, TypeError):
             return None
         if n < len(KNOWN_DELTA) and len(classes) != KNOWN_DELTA[n]:
             return None
-        return classes, delta
+        return classes
 
-    def store(self, n: int, classes: list[CatalogClass], delta: int) -> Path | None:
+    def store(self, n: int, classes: list[CatalogClass]) -> Path | None:
         path = self.path(n)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
         except OSError:
             return None
-        payload = {
-            "version": self.VERSION,
-            "n": n,
-            "delta": delta,
-            "classes": [
-                {
-                    "canonical": list(cls.canonical),
-                    "members": [list(mem) for mem in cls.members],
-                    "u1_key": [list(block) for block in cls.u1_key],
-                    "m": cls.m,
-                    "l": list(cls.l),
-                    "slack": cls.slack,
-                }
-                for cls in classes
-            ],
-        }
+        payload = {"version": self.VERSION, "n": n, "classes": [vars(cls) for cls in classes]}
         # write beside the target and rename over it, so a reader never sees
         # a partly written file
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -361,15 +348,12 @@ class CatalogCache:
         return path
 
 
-def u1_classes_cached(
-    n: int, cache: CatalogCache | None = None
-) -> tuple[list[CatalogClass], int]:
+def u1_classes_cached(n: int, cache: CatalogCache | None = None) -> list[CatalogClass]:
     """u1_classes with a read-through JSON cache."""
     if cache is None:
         return u1_classes(n)
-    hit = cache.load(n)
-    if hit is not None:
-        return hit
-    classes, delta = u1_classes(n)
-    cache.store(n, classes, delta)
-    return classes, delta
+    classes = cache.load(n)
+    if classes is None:
+        classes = u1_classes(n)
+        cache.store(n, classes)
+    return classes

@@ -138,38 +138,16 @@ def _cmd_equation(args: argparse.Namespace) -> int:
 def _cmd_deform_check(args: argparse.Namespace) -> int:
     seq = _parse_sequence(args.seq)
     rec = analyze_sequence(seq)
-    if rec.semi_free:
-        if args.format == "json":
-            sys.stdout.write(
-                dumps(
-                    {
-                        "n": rec.n,
-                        "k": seq,
-                        "semi_free": True,
-                        "note": rec.note,
-                        "deformable": rec.deformable,
-                    }
-                )
-            )
-        else:
-            print(f"semi-free: handled by LeBrun theory (deformable = {rec.deformable})")
-        return 0
-    deformed = discriminant_deformed(rec)
+    deformed = None if rec.semi_free else discriminant_deformed(rec)
     if args.format == "json":
-        sys.stdout.write(
-            dumps(
-                {
-                    "n": rec.n,
-                    "k": seq,
-                    "semi_free": False,
-                    "r": rec.r,
-                    "s": rec.s,
-                    "slack": rec.slack,
-                    "deformable": rec.deformable,
-                    "discriminant_deformed": deformed,
-                }
-            )
-        )
+        report = {"n": rec.n, "k": seq, "semi_free": rec.semi_free, "deformable": rec.deformable}
+        if rec.semi_free:
+            report["note"] = rec.note
+        else:
+            report.update(r=rec.r, s=rec.s, slack=rec.slack, discriminant_deformed=deformed)
+        sys.stdout.write(dumps(report))
+    elif rec.semi_free:
+        print(f"semi-free: handled by LeBrun theory (deformable = {rec.deformable})")
     else:
         print(
             f"r = {rec.r}, s = {rec.s}, slack = {rec.slack}, deformable = {rec.deformable}"
@@ -192,7 +170,6 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     n = args.n
     if n < 0:
         raise InvalidParameterError("n must be nonnegative")
-    cache = None if args.no_cache else cat.CatalogCache(args.cache_dir)
     if args.classes == "marked":
         reps = cat.enumerate_marked(n)
         if args.format == "json":
@@ -202,11 +179,12 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             for rep in reps:
                 print("  " + _format_seq(rep))
         return 0
-    classes, delta = cat.u1_classes_cached(n, cache)
+    cache = None if args.no_cache else cat.CatalogCache(args.cache_dir)
+    classes = cat.u1_classes_cached(n, cache)
     if args.format == "json":
-        sys.stdout.write(dumps({"n": n, "delta": delta, "classes": classes}))
+        sys.stdout.write(dumps({"n": n, "delta": len(classes), "classes": classes}))
     else:
-        print(f"n = {n}: delta = {delta} circle-action classes")
+        print(f"n = {n}: delta = {len(classes)} circle-action classes")
         for cls in classes:
             slack = "-" if cls.slack is None else str(cls.slack)
             print(
@@ -344,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--classes", choices=("marked", "u1"), default="u1")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--cache-dir", default=None, help="JSON cache directory (or $MTF_CACHE_DIR)")
+    p.add_argument(
+        "--cache-dir", default=None, help="JSON cache directory (default ~/.cache/minitwistor)"
+    )
     p.add_argument("--no-cache", action="store_true", help="skip the JSON cache")
     p.set_defaults(handler=_cmd_catalog)
 

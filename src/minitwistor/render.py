@@ -16,29 +16,21 @@ from .exact import Infinity, decimal, format_scalar
 from .model import MinitwistorModel, QuadraticForm
 
 
-def jsonable(value):
-    """Recursively convert library objects to JSON-serializable data."""
+def _encode(value):
+    """json.dumps hook: exact scalars as text, dataclasses as dicts of their
+    fields; the tuple keys (a, b) of QuadraticForm.terms become "a,b"."""
     if isinstance(value, (Fraction, Infinity)):
         return format_scalar(value)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return {_key_str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    return value
-
-
-def _key_str(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, tuple):
-        return ",".join(str(part) for part in key)
-    return str(key)
+    if dataclasses.is_dataclass(value):
+        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        if isinstance(value, QuadraticForm):
+            fields["terms"] = {f"{a},{b}": cf for (a, b), cf in value.terms.items()}
+        return fields
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def dumps(value) -> str:
-    return json.dumps(jsonable(value), sort_keys=True, indent=2) + "\n"
+    return json.dumps(value, sort_keys=True, indent=2, default=_encode) + "\n"
 
 
 # ---------------------------------------------------------------------------

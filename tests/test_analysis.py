@@ -16,7 +16,6 @@ from minitwistor import (
     blow_up_schedule,
     discriminant_deformed,
     discriminant_joyce,
-    enumerate_marked,
     fan_from_sequence,
     insertions,
     l_vector,
@@ -28,12 +27,7 @@ from minitwistor import (
     trace_divisor,
 )
 
-
-def oriented_sequences(n):
-    for seq in enumerate_marked(n):
-        yield seq
-        if seq != seq[::-1]:
-            yield seq[::-1]
+from support import oriented_sequences
 
 
 def assert_matches_oracle(seq):

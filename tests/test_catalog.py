@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -18,7 +20,6 @@ from minitwistor import (
     is_valid_sequence,
     l_vector,
     regularity,
-    resolve_cache_dir,
     reduction_trace,
     reversal_canonical,
     sequence_l_vector,
@@ -27,6 +28,7 @@ from minitwistor import (
     u1_classes_cached,
     u1_key,
 )
+from minitwistor.cli import main
 
 #: marked sequences up to reversal, frozen from the generator (regression)
 MARKED_COUNTS = {0: 1, 1: 1, 2: 2, 3: 3, 4: 9, 5: 22, 6: 71, 7: 217, 8: 729}
@@ -74,7 +76,7 @@ def test_enumerate_counts_regression():
 
 def test_level4_collapses_nine_to_seven():
     assert len(enumerate_marked(4)) == 9
-    assert u1_classes(4)[1] == 7
+    assert len(u1_classes(4)) == 7
 
 
 def test_enumeration_is_partition_independent():
@@ -106,12 +108,12 @@ def test_u1_key_examples():
 
 def test_delta_known_values():
     for n, expected in enumerate(KNOWN_DELTA):
-        assert u1_classes(n)[1] == expected
+        assert len(u1_classes(n)) == expected
 
 
 def test_delta_regression_values():
     for n, expected in DELTA_REGRESSION.items():
-        assert u1_classes(n)[1] == expected
+        assert len(u1_classes(n)) == expected
 
 
 def test_level4_representatives_match_known_seven():
@@ -124,8 +126,8 @@ def test_level4_representatives_match_known_seven():
         (1, 2, 5, 3, 1),
         (1, 2, 3, 4, 1),
     ]
-    classes, delta = u1_classes(4)
-    assert delta == 7 == len(classes)
+    classes = u1_classes(4)
+    assert len(classes) == 7
     hit_classes = set()
     for rep in known:
         owners = [c.canonical for c in classes if rep in c.members]
@@ -137,8 +139,7 @@ def test_level4_representatives_match_known_seven():
 def test_class_structure():
     # m, l and slack of every class against the decrement-simulation oracle
     for n in range(9):
-        classes, _ = u1_classes(n)
-        for cls in classes:
+        for cls in u1_classes(n):
             assert cls.canonical in cls.members
             slacks = []
             for member in cls.members:
@@ -197,14 +198,21 @@ def test_u1_classes_validate_each_class_once(count_calls):
     for n in (6, 7, 8):
         enumerate_marked(n)  # warm the level, which validates nothing
         calls = count_calls("fans", "validate_sequence")
-        classes, delta = u1_classes(n)
-        assert len(calls) == delta == len(classes)
+        classes = u1_classes(n)
+        assert len(calls) == len(classes)
         assert sorted(args[0] for args in calls) == sorted(cls.canonical for cls in classes)
 
 
+def test_u1_classes_key_each_sequence_once(count_calls):
+    for n in (6, 7, 8):
+        enumerate_marked(n)
+        calls = count_calls("catalog", "u1_key")
+        u1_classes(n)
+        assert sorted(args[0] for args in calls) == sorted(enumerate_marked(n))
+
+
 def test_class_slack_is_max_over_members():
-    classes, _ = u1_classes(5)
-    by_key = {cls.u1_key: cls for cls in classes}
+    by_key = {cls.u1_key: cls for cls in u1_classes(5)}
     mixed = by_key[((2,), (2,))]
     # (1,2,1,2,1,1) has slack 1 but the member (1,2,1,1,2,1) only 0
     assert {regularity(member).slack for member in mixed.members} == {0, 1}
@@ -224,10 +232,10 @@ def test_end_insertion_injectivity():
     # prepending 1 preserves the class key, so distinct classes at n-1 land
     # in distinct classes at n
     for n in range(1, 9):
-        previous, _ = u1_classes(n - 1)
+        previous = u1_classes(n - 1)
         images = {u1_key((1,) + cls.canonical) for cls in previous}
         assert len(images) == len(previous)
-        current_keys = {cls.u1_key for cls in u1_classes(n)[0]}
+        current_keys = {cls.u1_key for cls in u1_classes(n)}
         assert images <= current_keys
 
 
@@ -320,64 +328,114 @@ def test_growth_report():
 
 def test_cache_round_trip(tmp_path):
     cache = CatalogCache(tmp_path)
-    classes, delta = u1_classes_cached(4, cache)
-    assert delta == 7
+    classes = u1_classes_cached(4, cache)
+    assert len(classes) == 7
     assert cache.path(4).exists()
-    reloaded, delta2 = u1_classes_cached(4, cache)
-    assert delta2 == 7
-    assert reloaded == classes
+    assert u1_classes_cached(4, cache) == classes == cache.load(4)
 
 
 def test_cache_rejects_corruption(tmp_path):
     cache = CatalogCache(tmp_path)
-    u1_classes_cached(3, cache)
-    no_members = json.loads(cache.path(3).read_text(encoding="utf-8"))
+    classes = u1_classes_cached(3, cache)
+    good = cache.path(3).read_text(encoding="utf-8")
+
+    def edited(**fields):
+        payload = json.loads(good)
+        payload["classes"][0].update(fields)
+        return json.dumps(payload)
+
+    no_members = json.loads(good)
     del no_members["classes"][0]["members"]
-    # unparsable text, then JSON of the wrong shape
-    for text in ("{not json", "[1,2]", json.dumps(no_members), '"catalog"', "7"):
+    version_1 = dict(json.loads(good), version=1, delta=3)
+    # unparsable text, JSON of the wrong shape, a version-1 file, then a
+    # class whose values are not those of a class
+    texts = ["{not json", "[1,2]", json.dumps(no_members), '"catalog"', "7", json.dumps(version_1)]
+    texts += [
+        edited(**fields)
+        for fields in (
+            {"members": []},
+            {"canonical": "xyz"},
+            {"canonical": [1, 1, 2, 1]},
+            {"m": "many"},
+            {"m": 1.5},
+            {"m": True},
+            {"slack": "none"},
+            {"l": [0, 0, 0]},
+            {"l": [0, 0, 0, "0", 0]},
+        )
+    ]
+    for text in texts:
         cache.path(3).write_text(text, encoding="utf-8")
-        assert cache.load(3) is None
-        classes, delta = u1_classes_cached(3, cache)
-        assert delta == 3 and len(classes) == 3
+        assert cache.load(3) is None, text
+        assert u1_classes_cached(3, cache) == classes == cache.load(3)
+
+
+def run_catalog(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["catalog", *argv]) == 0
+    return out.getvalue()
+
+
+def test_edited_cache_file_prints_true_classes(tmp_path):
+    fresh = run_catalog(["--n", "3", "--no-cache"])
+    assert fresh.startswith("n = 3: delta = 3 ")
+    argv = ["--n", "3", "--cache-dir", str(tmp_path)]
+    assert run_catalog(argv) == fresh
+    path = CatalogCache(tmp_path).path(3)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    # a stray "delta" is ignored: a hit counts its classes
+    payload["delta"] = 99
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert CatalogCache(tmp_path).load(3) is not None
+    assert run_catalog(argv) == fresh
+    payload["classes"][0].update(canonical="xyz", m="many")
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert run_catalog(argv) == fresh
+
+
+def test_cache_hit_prints_what_the_miss_printed(tmp_path, count_calls):
+    calls = count_calls("catalog", "u1_classes")
+    for n in range(8):
+        for fmt in ("text", "json"):
+            argv = ["--n", str(n), "--format", fmt]
+            cached = argv + ["--cache-dir", str(tmp_path / f"{fmt}{n}")]
+            miss = run_catalog(cached)
+            assert run_catalog(cached) == miss == run_catalog(argv + ["--no-cache"])
+    # one miss and one uncached run per level and format: every second
+    # cached run was a hit
+    assert len(calls) == 2 * 8 * 2
 
 
 def test_cache_store_leaves_no_temporary_file(tmp_path):
     cache = CatalogCache(tmp_path)
-    classes, delta = u1_classes(4)
-    assert cache.store(4, classes, delta) == cache.path(4)
+    classes = u1_classes(4)
+    assert cache.store(4, classes) == cache.path(4)
     assert os.listdir(tmp_path) == [cache.path(4).name]
     # a store that cannot rename over its target fails and cleans up
     blocked = CatalogCache(tmp_path / "blocked")
     blocked.path(4).mkdir(parents=True)
-    assert blocked.store(4, classes, delta) is None
+    assert blocked.store(4, classes) is None
     assert os.listdir(tmp_path / "blocked") == [blocked.path(4).name]
 
 
 def test_cache_reads_truncated_file_as_miss(tmp_path):
     cache = CatalogCache(tmp_path)
-    classes, delta = u1_classes_cached(4, cache)
+    classes = u1_classes_cached(4, cache)
     text = cache.path(4).read_text(encoding="utf-8")
     for size in (0, 1, len(text) // 2, len(text) - 2):
         cache.path(4).write_text(text[:size], encoding="utf-8")
         assert cache.load(4) is None
-        assert u1_classes_cached(4, cache) == (classes, delta)
-        assert cache.load(4) == (classes, delta)
+        assert u1_classes_cached(4, cache) == classes
+        assert cache.load(4) == classes
 
 
 def test_cache_file_schema(tmp_path):
     cache = CatalogCache(tmp_path)
     u1_classes_cached(2, cache)
     payload = json.loads(cache.path(2).read_text(encoding="utf-8"))
-    assert payload["n"] == 2 and payload["delta"] == 2
+    assert set(payload) == {"version", "n", "classes"}
+    assert payload["version"] == CatalogCache.VERSION == 2 and payload["n"] == 2
+    assert len(payload["classes"]) == 2
     entry = payload["classes"][0]
     assert set(entry) == {"canonical", "members", "u1_key", "m", "l", "slack"}
-
-
-def test_cache_dir_resolution(tmp_path, monkeypatch):
-    monkeypatch.delenv("MTF_CACHE_DIR", raising=False)
-    assert resolve_cache_dir(tmp_path) == tmp_path
-    monkeypatch.setenv("MTF_CACHE_DIR", str(tmp_path / "env"))
-    assert resolve_cache_dir() == tmp_path / "env"
-    assert resolve_cache_dir(tmp_path / "explicit") == tmp_path / "explicit"
-    monkeypatch.delenv("MTF_CACHE_DIR")
-    assert resolve_cache_dir().name == "minitwistor"

@@ -3,23 +3,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import subprocess
 import sys
 
 from minitwistor.cli import main
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("MTF_CACHE_DIR", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "minitwistor", *args],
-        capture_output=True,
-        env=env,
-    )
+def run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "minitwistor", *args], capture_output=True)
 
 
 def test_analyze_json_report():
@@ -141,15 +132,6 @@ def test_catalog_marked_and_u1(tmp_path):
     assert again.stdout == result.stdout
 
 
-def test_catalog_env_cache_dir(tmp_path):
-    result = run_cli(
-        "catalog", "--n", "3", "--format", "json",
-        env_extra={"MTF_CACHE_DIR": str(tmp_path / "envcache")},
-    )
-    assert result.returncode == 0
-    assert (tmp_path / "envcache" / "catalog_n3.json").exists()
-
-
 def test_tables_delta():
     result = run_cli("tables", "delta", "--format", "json")
     data = json.loads(result.stdout)
@@ -217,14 +199,11 @@ def test_equation_past_the_int_to_str_limit():
 def test_closed_stdout_pipe_exits_quietly():
     # about 185 kB of output, far past the pipe buffer, so the writer hits
     # the closed pipe mid-stream
-    env = dict(os.environ)
-    env.pop("MTF_CACHE_DIR", None)
     proc = subprocess.Popen(
         [sys.executable, "-m", "minitwistor", "catalog", "--classes", "marked", "--n", "10",
          "--no-cache"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
     )
     first = proc.stdout.readline()
     proc.stdout.close()

@@ -7,19 +7,13 @@ from minitwistor import (
     blow_up_schedule,
     discriminant_deformed,
     discriminant_joyce,
-    enumerate_marked,
     fan_from_sequence,
     regularity,
     self_intersections,
     sequence_l_vector,
 )
 
-
-def oriented_sequences(n):
-    for seq in enumerate_marked(n):
-        yield seq
-        if seq != seq[::-1]:
-            yield seq[::-1]
+from support import oriented_sequences
 
 
 # ---------------------------------------------------------------------------

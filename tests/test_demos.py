@@ -21,7 +21,6 @@ def test_all_demos_found():
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    env.pop("MTF_CACHE_DIR", None)
     result = subprocess.run(
         [sys.executable, str(demo)], capture_output=True, env=env, cwd=ROOT, timeout=120
     )

@@ -16,12 +16,7 @@ from minitwistor import (
     trace_divisor,
 )
 
-
-def oriented_sequences(n):
-    for seq in enumerate_marked(n):
-        yield seq
-        if seq != seq[::-1]:
-            yield seq[::-1]
+from support import oriented_sequences
 
 
 # ---------------------------------------------------------------------------
