@@ -9,13 +9,12 @@ classes.
 """
 
 from minitwistor import (
+    analyze_sequence,
     enumerate_marked,
     family_fibonacci,
     family_involutive,
     family_lebrun,
     growth_report,
-    reduction_trace,
-    sequence_l_vector,
     u1_classes,
     u1_key,
 )
@@ -47,7 +46,7 @@ for member in family_involutive(7):
 
 print("\nmaximal-step family (m grows like Fibonacci):")
 for n in range(2, 9):
-    seq = family_fibonacci(n)
-    print(f"  n = {n}: {seq}  m = {reduction_trace(seq).m}  l = {sequence_l_vector(seq)}")
+    rec = analyze_sequence(family_fibonacci(n))
+    print(f"  n = {n}: {rec.k}  m = {rec.m}  l = {rec.l}")
 
 print(f"\nsanity: every level-5 sequence is insertion-reachable: {len(enumerate_marked(5))} classes")

@@ -46,7 +46,6 @@ from .errors import (
 from .exact import INF, Infinity, format_scalar, parse_scalar
 from .fans import (
     HalfFan,
-    det,
     fan_from_sequence,
     is_valid_sequence,
     self_intersections,
@@ -75,14 +74,9 @@ from .model import (
     QuadraticForm,
     SingularityRecord,
     default_lambdas,
-    fixed_lines,
-    irreducible_marked_fibers,
     minitwistor_model,
-    moduli_dimension,
     quadratic_split,
-    reducible_fibers,
     rhs_polynomial,
-    singularities,
     validate_lambdas,
 )
 
@@ -116,7 +110,6 @@ __all__ = [
     "analyze_sequence",
     "blow_up_schedule",
     "default_lambdas",
-    "det",
     "discriminant_deformed",
     "discriminant_joyce",
     "enumerate_marked",
@@ -125,19 +118,15 @@ __all__ = [
     "family_lebrun",
     "fan_from_sequence",
     "fibonacci",
-    "fixed_lines",
     "format_scalar",
     "growth_report",
     "insertions",
-    "irreducible_marked_fibers",
     "is_lebrun",
     "is_valid_sequence",
     "l_vector",
     "minitwistor_model",
-    "moduli_dimension",
     "parse_scalar",
     "quadratic_split",
-    "reducible_fibers",
     "reduction_steps",
     "reduction_trace",
     "regularity",
@@ -148,7 +137,6 @@ __all__ = [
     "sequence_from_fan",
     "sequence_l_vector",
     "sequence_summary",
-    "singularities",
     "trace_divisor",
     "u1_classes",
     "u1_classes_cached",

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial
 from pathlib import Path
 
 from .errors import InternalInvariantError, InvalidParameterError, invariant_violation
@@ -143,6 +145,18 @@ def _build_class(key: tuple[tuple[int, ...], ...], reps: list[tuple[int, ...]]) 
         l=canonical.l,
         slack=canonical.slack,
     )
+
+
+def _member_count(n: int, key: tuple[tuple[int, ...], ...]) -> int:
+    """Number of members of the level-n class with block multiset key, in
+    closed form: the b blocks go into b of the ones - 1 gaps between the
+    ones = n + 1 - sum |B| ones, in b!/prod c_B! orders, and each block B of
+    multiplicity c_B in o_B^{c_B} orientations (o_B = 1 for a palindrome, 2
+    otherwise)."""
+    count = comb(n - sum(map(len, key)), len(key)) * factorial(len(key))
+    for block, c in Counter(key).items():
+        count = count // factorial(c) * (1 if block == block[::-1] else 2) ** c
+    return count
 
 
 def u1_classes(n: int) -> list[CatalogClass]:
@@ -298,8 +312,10 @@ class CatalogCache:
 
     def load(self, n: int) -> list[CatalogClass] | None:
         # a missing, unreadable, truncated or wrongly shaped file is a miss.
-        # Each class is checked once, without walking its members' entries;
-        # type() rather than isinstance, since JSON true is no count.
+        # Each class is checked once, without walking its members' entries:
+        # its key must be the canonical member's, and its member count the
+        # closed form's.  type() rather than isinstance, since JSON true is
+        # no count.
         try:
             data = json.loads(self.path(n).read_text(encoding="utf-8"))
             if data["version"] != self.VERSION or data["n"] != n:
@@ -320,6 +336,8 @@ class CatalogCache:
                     and (cls.slack is None or type(cls.slack) is int)
                     and len(cls.l) == len(cls.canonical) + 1
                     and all(type(x) is int for x in cls.l)
+                    and cls.u1_key == u1_key(cls.canonical)
+                    and len(cls.members) == _member_count(n, cls.u1_key)
                 ):
                     return None
                 classes.append(cls)

@@ -43,19 +43,23 @@ class DiscriminantReport:
     possibly_nonreduced: bool = True
 
 
+def _window_report(lvec: tuple[int, ...], window: range, **fields) -> DiscriminantReport:
+    """The report over the fibers with index in window: a chain of l_i + 1
+    curves where l_i > 0, an irreducible fiber where l_i = 0.  The caller
+    passes the remaining report fields."""
+    return DiscriminantReport(
+        reducible_fiber_chains=tuple((i, lvec[i - 1] + 1) for i in window if lvec[i - 1]),
+        irreducible_fibers=tuple(i for i in window if not lvec[i - 1]),
+        **fields,
+    )
+
+
 def discriminant_joyce(seq: Weights) -> DiscriminantReport:
     """Discriminant report over the undeformed metric: every interior index
     shows up, as a chain when l_i > 0 and as an irreducible fiber when
     l_i = 0 (the two boundary fibers never contribute)."""
     rec = analyze_sequence(seq)
-    lvec, n = rec.l, rec.n
-    interior = range(2, n + 2)
-    return DiscriminantReport(
-        deformed=False,
-        reducible_fiber_chains=tuple((i, lvec[i - 1] + 1) for i in interior if lvec[i - 1] > 0),
-        irreducible_fibers=tuple(i for i in interior if lvec[i - 1] == 0),
-        hyperplane_sections=0,
-    )
+    return _window_report(rec.l, range(2, rec.n + 2), deformed=False, hyperplane_sections=0)
 
 
 def discriminant_deformed(seq: Weights) -> DiscriminantReport:
@@ -69,15 +73,9 @@ def discriminant_deformed(seq: Weights) -> DiscriminantReport:
         raise InvalidParameterError(
             "semi-free sequence: deformations are handled by LeBrun theory"
         )
-    lvec, r, s, n = rec.l, rec.r, rec.s, rec.n
-    window = range(r + 1, s)
-    return DiscriminantReport(
-        deformed=True,
-        reducible_fiber_chains=tuple((i, lvec[i - 1] + 1) for i in window if lvec[i - 1] > 0),
-        irreducible_fibers=tuple(i for i in window if lvec[i - 1] == 0),
-        hyperplane_sections=n + r - s,
-        r=r,
-        s=s,
+    r, s = rec.r, rec.s
+    return _window_report(
+        rec.l, range(r + 1, s), deformed=True, hyperplane_sections=rec.n + r - s, r=r, s=s
     )
 
 
@@ -136,35 +134,29 @@ def blow_up_schedule(seq: Weights) -> BlowUpSchedule:
             centers=("C_1", "~C_1"),
         )
     ]
-    if m == 1:
-        return BlowUpSchedule(
-            n=n,
-            m=m,
-            max_multiplicity=max(lvec),
-            normal_bundle=normal_bundle,
-            stages=tuple(stages),
-        )
-
-    stages.append(
-        BlowUpStage(
-            stage=2,
-            description="blow up the four cycle components adjacent to the marked pair",
-            centers=("C_2", f"~C_{n + 2}", "~C_2", f"C_{n + 2}"),
-        )
-    )
     interior = range(2, n + 2)
-    plus3 = tuple(i for i in interior if plus[i - 1] > 0)
-    minus3 = tuple(i for i in interior if minus[i - 1] > 0)
-    stages.append(
-        BlowUpStage(
-            stage=3,
-            description="blow up the base curves cut on E_2 and ~E_{n+2} by the divisor components",
-            centers=tuple(f"E_2 & S_{i}^-" for i in plus3)
-            + tuple(f"~E_{n + 2} & S_{i}^-" for i in minus3),
-            plus_indices=plus3,
-            minus_indices=minus3,
-        )
-    )
+    # the semi-free case m = 1 stops after stage 1: its max l is 1, so the
+    # loop over t >= 4 below is empty too
+    if m > 1:
+        plus3 = tuple(i for i in interior if plus[i - 1] > 0)
+        minus3 = tuple(i for i in interior if minus[i - 1] > 0)
+        stages += [
+            BlowUpStage(
+                stage=2,
+                description="blow up the four cycle components adjacent to the marked pair",
+                centers=("C_2", f"~C_{n + 2}", "~C_2", f"C_{n + 2}"),
+            ),
+            BlowUpStage(
+                stage=3,
+                description=(
+                    "blow up the base curves cut on E_2 and ~E_{n+2} by the divisor components"
+                ),
+                centers=tuple(f"E_2 & S_{i}^-" for i in plus3)
+                + tuple(f"~E_{n + 2} & S_{i}^-" for i in minus3),
+                plus_indices=plus3,
+                minus_indices=minus3,
+            ),
+        ]
     max_mult = max(lvec)
     for t in range(4, max_mult + 3):
         threshold = t - 2

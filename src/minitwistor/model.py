@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import InternalInvariantError, InvalidParameterError, invariant_violation
+from .errors import InternalInvariantError, InvalidParameterError
 from .exact import INF, Infinity, Scalar
 from .invariants import Weights, analyze_sequence
 
@@ -141,11 +141,6 @@ class QuadraticForm:
             coeffs[a + b] += cf
         return BinaryForm(degree=2 * self.m, coefficients=tuple(coeffs))
 
-    def matches(self, other: "QuadraticForm") -> bool:
-        """Equality modulo the ideal of the rational normal curve, decided by
-        comparing pullbacks."""
-        return self.m == other.m and self.pullback() == other.pullback()
-
 
 def quadratic_split(form: BinaryForm, m: int) -> QuadraticForm:
     """Balanced split of a degree-2m binary form into a quadratic in the z_d:
@@ -179,60 +174,22 @@ class SingularityRecord:
     index: int | None = None
 
 
-def singularities(
-    lvec: tuple[int, ...], lambdas: tuple[Scalar, ...], m: int
-) -> list[SingularityRecord]:
-    records: list[SingularityRecord] = []
-    if m > 1:
-        records.append(
-            SingularityRecord(
-                kind="cyclic-quotient-pair",
-                order=m,
-                location="conjugate pair over infinity",
-            )
-        )
-    for i, l in enumerate(lvec, start=1):
-        if l > 1:
-            records.append(
-                SingularityRecord(
-                    kind="real-A", order=l - 1, location=lambdas[i - 1], index=i
-                )
-            )
-    return records
-
-
-def reducible_fibers(
-    lvec: tuple[int, ...], lambdas: tuple[Scalar, ...]
-) -> tuple[Scalar, ...]:
-    """Parameters over which the conic fiber breaks into two lines: the
-    lambda_i with l_i > 0 (infinity always qualifies)."""
-    return tuple(lambdas[i] for i, l in enumerate(lvec) if l > 0)
-
-
-def irreducible_marked_fibers(
-    lvec: tuple[int, ...], lambdas: tuple[Scalar, ...]
-) -> tuple[Scalar, ...]:
-    return tuple(lambdas[i] for i, l in enumerate(lvec) if l == 0)
-
-
-def moduli_dimension(lvec: tuple[int, ...]) -> int | None:
-    """Dimension #{i : l_i > 0} - 3 of the moduli the reducible-fiber
-    positions sweep out; undefined (None) in the rigid case m = 1."""
-    m = sum(lvec) // 2
-    if m < 2:
-        return None
-    return sum(1 for l in lvec if l > 0) - 3
-
-
-def fixed_lines(lvec: tuple[int, ...]) -> tuple[int, ...]:
-    """Indices i with l_i = 0; the corresponding invariant twistor lines are
-    pointwise fixed by the subgroup."""
-    return tuple(i for i, l in enumerate(lvec, start=1) if l == 0)
-
-
 @dataclass(frozen=True)
 class MinitwistorModel:
-    """The full projective model: equation, dimensions, fibers, singularities."""
+    """The full projective model: equation, dimensions, fibers, singularities.
+
+    The fiber ledger is read off the multiplicity vector l:
+
+    - ``singularities``: the conjugate pair of C^2/Z_m points over infinity
+      once m > 1, then an A_{l_i - 1} point over lambda_i for each l_i > 1;
+    - ``reducible_fibers``: the lambda_i with l_i > 0, over which the conic
+      breaks into two lines (infinity always qualifies);
+    - ``irreducible_marked_fibers``: the lambda_i with l_i = 0;
+    - ``moduli_dim``: #{i : l_i > 0} - 3, the dimension of the moduli the
+      reducible-fiber positions sweep out; None in the rigid case m = 1;
+    - ``fixed_lines``: the indices i with l_i = 0, whose invariant twistor
+      lines are pointwise fixed by the subgroup.
+    """
 
     m: int
     n: int
@@ -259,30 +216,45 @@ def minitwistor_model(
     """Synthesize the model surface for a weight sequence or its analysis
     record.
 
-    lambdas defaults to (0, 1, ..., n, inf); c to +1.
+    lambdas defaults to (0, 1, ..., n, inf); c to +1.  The degree of the
+    equation is 2m without a check here: rhs_polynomial checks it against
+    sum l, and the analysis record checks sum l = 2m.
     """
     rec = analyze_sequence(seq)
     lvec, n, m = rec.l, rec.n, rec.m
     if lambdas is None:
         lambdas = default_lambdas(n)
     form = rhs_polynomial(lvec, lambdas, c_sign)
-    if form.degree != 2 * m:
-        raise invariant_violation("minitwistor_model", rec.k, "model degree is not 2m")
-    split = quadratic_split(form, m)
+    singular = []
+    if m > 1:
+        singular.append(
+            SingularityRecord(
+                kind="cyclic-quotient-pair", order=m, location="conjugate pair over infinity"
+            )
+        )
+    reducible, irreducible, fixed = [], [], []
+    for i, (l, lam) in enumerate(zip(lvec, lambdas), start=1):
+        if l > 1:
+            singular.append(SingularityRecord(kind="real-A", order=l - 1, location=lam, index=i))
+        if l:
+            reducible.append(lam)
+        else:
+            irreducible.append(lam)
+            fixed.append(i)
     return MinitwistorModel(
         m=m,
         n=n,
         lambdas=lambdas,
         c_sign=c_sign,
         rhs=form,
-        q=split,
+        q=quadratic_split(form, m),
         ambient_dim=m + 2,
         surface_degree=2 * m,
         dim_vm=m + 1,
         dim_wm=m + 3,
-        singularities=tuple(singularities(lvec, lambdas, m)),
-        reducible_fibers=reducible_fibers(lvec, lambdas),
-        irreducible_marked_fibers=irreducible_marked_fibers(lvec, lambdas),
-        moduli_dim=moduli_dimension(lvec),
-        fixed_lines=fixed_lines(lvec),
+        singularities=tuple(singular),
+        reducible_fibers=tuple(reducible),
+        irreducible_marked_fibers=tuple(irreducible),
+        moduli_dim=len(reducible) - 3 if m > 1 else None,
+        fixed_lines=tuple(fixed),
     )

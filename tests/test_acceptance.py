@@ -34,7 +34,6 @@ from minitwistor import (
     rhs_polynomial,
     sequence_from_fan,
     sequence_l_vector,
-    singularities,
     trace_divisor,
     u1_classes,
     u1_key,
@@ -122,17 +121,11 @@ def test_criterion_06_singularity_classification():
     for n in range(1, 9):
         for seq in enumerate_marked(n):
             if max(seq) <= 2:
-                lvec = sequence_l_vector(seq)
-                records = singularities(lvec, default_lambdas(n), sum(lvec) // 2)
+                records = minitwistor_model(seq).singularities
                 ok = ok and not any(r.kind == "real-A" for r in records)
     for n in range(3, 9):
-        seq = family_fibonacci(n)
-        lvec = sequence_l_vector(seq)
-        orders = {
-            r.order
-            for r in singularities(lvec, default_lambdas(n), sum(lvec) // 2)
-            if r.kind == "real-A"
-        }
+        records = minitwistor_model(family_fibonacci(n)).singularities
+        orders = {r.order for r in records if r.kind == "real-A"}
         ok = ok and all(fibonacci(j) - 1 in orders for j in range(3, n + 1))
     report(6, ok, "singularity classification: worked example, involutive family, maximal family")
 

@@ -28,6 +28,7 @@ from minitwistor import (
     u1_classes_cached,
     u1_key,
 )
+from minitwistor.catalog import _member_count
 from minitwistor.cli import main
 
 #: marked sequences up to reversal, frozen from the generator (regression)
@@ -339,16 +340,17 @@ def test_cache_rejects_corruption(tmp_path):
     classes = u1_classes_cached(3, cache)
     good = cache.path(3).read_text(encoding="utf-8")
 
-    def edited(**fields):
+    def edited(index=0, **fields):
         payload = json.loads(good)
-        payload["classes"][0].update(fields)
+        payload["classes"][index].update(fields)
         return json.dumps(payload)
 
     no_members = json.loads(good)
     del no_members["classes"][0]["members"]
     version_1 = dict(json.loads(good), version=1, delta=3)
     # unparsable text, JSON of the wrong shape, a version-1 file, then a
-    # class whose values are not those of a class
+    # class whose values are not those of a class: a stray member, or a key
+    # that is not its canonical member's
     texts = ["{not json", "[1,2]", json.dumps(no_members), '"catalog"', "7", json.dumps(version_1)]
     texts += [
         edited(**fields)
@@ -362,8 +364,10 @@ def test_cache_rejects_corruption(tmp_path):
             {"slack": "none"},
             {"l": [0, 0, 0]},
             {"l": [0, 0, 0, "0", 0]},
+            {"members": json.loads(good)["classes"][0]["members"] + [[9, 9, 9, 9]]},
         )
     ]
+    texts.append(edited(1, u1_key=[["zz"]]))
     for text in texts:
         cache.path(3).write_text(text, encoding="utf-8")
         assert cache.load(3) is None, text
@@ -392,6 +396,24 @@ def test_edited_cache_file_prints_true_classes(tmp_path):
     payload["classes"][0].update(canonical="xyz", m="many")
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert run_catalog(argv) == fresh
+    assert "  1,1,1,1  members=1 " in fresh
+    for index, fields in (
+        (0, {"members": [[1, 1, 1, 1], [9, 9, 9, 9]]}),
+        (1, {"u1_key": [["zz"]]}),
+    ):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["classes"][index].update(fields)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert CatalogCache(tmp_path).load(3) is None
+        assert run_catalog(argv) == fresh
+
+
+def test_member_count_closed_form():
+    # the cache's load check rests on this count; a wrong formula would only
+    # show as silent misses
+    for n in range(11):
+        for cls in u1_classes(n):
+            assert _member_count(n, cls.u1_key) == len(cls.members), cls.canonical
 
 
 def test_cache_hit_prints_what_the_miss_printed(tmp_path, count_calls):

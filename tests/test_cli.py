@@ -5,8 +5,14 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minitwistor.cli import main
+
+from support import oriented_sequences
 
 
 def run_cli(*args):
@@ -241,3 +247,82 @@ def test_malformed_long_lambda_message_is_short(capsys):
     assert captured.out == ""
     assert len(captured.err.encode()) < 200
     assert "(5000 characters)" in captured.err
+
+
+SEQ_COMMANDS = ("analyze", "equation", "deform-check", "schedule")
+LAMBDA_TOKENS = ("0", "1", "2", "1/2", "7/3", "-1", "inf", "-inf", "2/0", "x", "", "1e3", "99999")
+JUNK_TOKENS = ("--bogus", "--seq", "--n", "--format", "--lambda", "-h", "extra")
+VALID_SEQUENCES = tuple(seq for n in range(8) for seq in oriented_sequences(n))
+
+
+def increasing_lambdas(steps):
+    """The tokens 0, lambda_2, ..., inf, with each step p/q added to the last."""
+    tokens, value = ["0"], Fraction(0)
+    for p, q in steps:
+        value += Fraction(p, q)
+        tokens.append(str(value))
+    return tokens + ["inf"]
+
+
+@st.composite
+def cli_argv(draw, cache_dir):
+    """An argv over every subcommand, valid or not.  The sizes stay small
+    because no work limit exists yet (ROADMAP.md): sequences have at most 9
+    entries of at most 30, and catalog and tables n is at most 7.  catalog
+    always gets --no-cache or a temporary --cache-dir, never the home
+    cache."""
+    command = draw(st.sampled_from(SEQ_COMMANDS + ("catalog", "tables")))
+    argv = [command]
+    small_n = st.integers(min_value=-2, max_value=7).map(str)
+    if command in SEQ_COMMANDS:
+        entries = draw(
+            st.one_of(
+                st.sampled_from(VALID_SEQUENCES),
+                st.lists(st.integers(min_value=-1, max_value=30), max_size=9),
+            )
+        )
+        argv += ["--seq", ",".join(map(str, entries)) or draw(st.sampled_from(("", "x", "1,,1")))]
+        if command in ("analyze", "equation"):
+            if draw(st.booleans()):
+                step = st.integers(min_value=1, max_value=9)
+                size = max(len(entries) - 1, 0)
+                lambdas = draw(
+                    st.one_of(
+                        st.lists(st.tuples(step, step), min_size=size, max_size=size).map(
+                            increasing_lambdas
+                        ),
+                        st.lists(st.sampled_from(LAMBDA_TOKENS), max_size=11),
+                    )
+                )
+                argv += ["--lambda", ",".join(lambdas)]
+            if draw(st.booleans()):
+                argv += ["--c", draw(st.sampled_from(("+1", "1", "-1", "0", "x")))]
+    elif command == "catalog":
+        argv += ["--n", draw(small_n), "--classes", draw(st.sampled_from(("u1", "marked", "x")))]
+        argv += draw(st.sampled_from((["--no-cache"], ["--cache-dir", cache_dir])))
+    else:
+        argv.append(draw(st.sampled_from(("delta", "fibonacci", "lebrun", "involutive", "x"))))
+        for flag in ("--n-max", "--n"):
+            if draw(st.booleans()):
+                argv += [flag, draw(small_n)]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(("json", "latex", "text", "x")))]
+    if draw(st.booleans()):
+        argv += draw(st.lists(st.sampled_from(JUNK_TOKENS), min_size=1, max_size=2))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_argv_keeps_the_exit_code_contract(tmp_path_factory, data):
+    argv = data.draw(cli_argv(str(tmp_path_factory.getbasetemp() / "fuzz-cache")))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert out.getvalue() == "", argv

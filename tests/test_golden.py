@@ -52,3 +52,27 @@ def test_stdout_digest(argv, digest):
     with contextlib.redirect_stdout(out):
         assert main(argv.split()) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+#: The decrement simulation and the fan construction: test oracles for the
+#: closed forms of the analysis record, which no request may call.
+ORACLE = (
+    ("invariants", "reduction_steps"),
+    ("invariants", "reduction_trace"),
+    ("invariants", "trace_divisor"),
+    ("invariants", "l_vector"),
+    ("invariants", "regularity"),
+    ("invariants", "sequence_l_vector"),
+    ("fans", "fan_from_sequence"),
+    ("fans", "self_intersections"),
+)
+
+
+def test_requests_never_call_the_oracle(count_calls, tmp_path):
+    calls = {name: count_calls(module, name) for module, name in ORACLE}
+    catalog = ["catalog", "--n", "5", "--cache-dir", str(tmp_path)]
+    # every golden request, then a catalog miss and its hit
+    for argv in [argv.split() for argv, _ in GOLDEN] + [catalog, catalog]:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    assert {name: len(made) for name, made in calls.items() if made} == {}

@@ -10,22 +10,20 @@ from minitwistor import (
     BinaryForm,
     InvalidParameterError,
     QuadraticForm,
+    analyze_sequence,
     default_lambdas,
     enumerate_marked,
     family_fibonacci,
     fibonacci,
-    fixed_lines,
-    irreducible_marked_fibers,
     minitwistor_model,
-    moduli_dimension,
     quadratic_split,
-    reducible_fibers,
     reduction_trace,
     rhs_polynomial,
     sequence_l_vector,
-    singularities,
     validate_lambdas,
 )
+
+from support import oriented_sequences
 
 
 def evaluate_form(form: BinaryForm, u1: Fraction, u2: Fraction) -> Fraction:
@@ -263,9 +261,9 @@ def test_quadratic_comparator_mod_parameter_curve():
     # invisible on the model surface
     balanced = QuadraticForm(m=2, terms={(1, 1): Fraction(2)})
     skew = QuadraticForm(m=2, terms={(0, 2): Fraction(2)})
-    assert balanced.matches(skew)
-    assert not balanced.matches(QuadraticForm(m=2, terms={(1, 1): Fraction(3)}))
-    assert not balanced.matches(QuadraticForm(m=1, terms={(1, 1): Fraction(2)}))
+    assert balanced.pullback() == skew.pullback()
+    assert balanced.pullback() != QuadraticForm(m=2, terms={(1, 1): Fraction(3)}).pullback()
+    assert balanced.pullback() != QuadraticForm(m=1, terms={(1, 1): Fraction(2)}).pullback()
 
 
 def test_rationality_of_split_coefficients():
@@ -286,14 +284,13 @@ def test_rationality_of_split_coefficients():
 
 
 def test_singularities_multiplicity_free_case():
-    records = singularities(sequence_l_vector((1, 2, 1)), default_lambdas(2), 2)
+    records = minitwistor_model((1, 2, 1)).singularities
     assert len(records) == 1
     assert records[0].kind == "cyclic-quotient-pair" and records[0].order == 2
 
 
 def test_singularities_example():
-    lvec = sequence_l_vector((1, 2, 5, 3, 1))
-    records = singularities(lvec, default_lambdas(4), 5)
+    records = minitwistor_model((1, 2, 5, 3, 1)).singularities
     pair = [r for r in records if r.kind == "cyclic-quotient-pair"]
     real = [r for r in records if r.kind == "real-A"]
     assert len(pair) == 1 and pair[0].order == 5
@@ -306,10 +303,8 @@ def test_singularities_example():
 
 def test_singularities_fibonacci_family():
     for n in range(3, 9):
-        seq = family_fibonacci(n)
-        lvec = sequence_l_vector(seq)
-        m = sum(lvec) // 2
-        orders = {r.order for r in singularities(lvec, default_lambdas(n), m) if r.kind == "real-A"}
+        records = minitwistor_model(family_fibonacci(n)).singularities
+        orders = {r.order for r in records if r.kind == "real-A"}
         for j in range(3, n + 1):
             assert fibonacci(j) - 1 in orders
 
@@ -318,20 +313,16 @@ def test_smooth_quadric_iff_m1():
     for n in range(7):
         for seq in enumerate_marked(n):
             m = reduction_trace(seq).m
-            records = singularities(sequence_l_vector(seq), default_lambdas(n), m)
-            assert (m == 1) == (len(records) == 0)
+            assert (m == 1) == (minitwistor_model(seq).singularities == ())
 
 
 def test_reducible_fibers_examples():
-    lams = default_lambdas(3)
-    assert reducible_fibers((1, 0, 0, 0, 1), lams) == (Fraction(0), INF)
-    assert irreducible_marked_fibers((1, 0, 0, 0, 1), lams) == (
-        Fraction(1), Fraction(2), Fraction(3),
-    )
-    lams = default_lambdas(4)
-    assert reducible_fibers(sequence_l_vector((1, 2, 1, 2, 1)), lams) == lams
-    lams = default_lambdas(3)
-    assert reducible_fibers(sequence_l_vector((1, 2, 3, 1)), lams) == lams
+    assert sequence_l_vector((1, 1, 1, 1)) == (1, 0, 0, 0, 1)
+    model = minitwistor_model((1, 1, 1, 1))
+    assert model.reducible_fibers == (Fraction(0), INF)
+    assert model.irreducible_marked_fibers == (Fraction(1), Fraction(2), Fraction(3))
+    assert minitwistor_model((1, 2, 1, 2, 1)).reducible_fibers == default_lambdas(4)
+    assert minitwistor_model((1, 2, 3, 1)).reducible_fibers == default_lambdas(3)
 
 
 def test_reducible_fiber_count_at_least_three_when_m_ge_2():
@@ -339,22 +330,63 @@ def test_reducible_fiber_count_at_least_three_when_m_ge_2():
     for n in range(7):
         for seq in enumerate_marked(n):
             if reduction_trace(seq).m >= 2:
-                count = len(reducible_fibers(sequence_l_vector(seq), default_lambdas(n)))
+                count = len(minitwistor_model(seq).reducible_fibers)
                 assert count >= 3
                 observed.append(count)
     print(f"minimum reducible-fiber count over m >= 2, n <= 6: {min(observed)}")
 
 
 def test_moduli_dimension():
-    assert moduli_dimension(sequence_l_vector((1, 2, 1))) == 1
-    assert moduli_dimension(sequence_l_vector((1, 2, 3, 1))) == 2
-    assert moduli_dimension((1, 0, 0, 1)) is None
+    assert minitwistor_model((1, 2, 1)).moduli_dim == 1
+    assert minitwistor_model((1, 2, 3, 1)).moduli_dim == 2
+    assert minitwistor_model((1, 1, 1)).moduli_dim is None
 
 
 def test_fixed_lines():
-    assert fixed_lines((1, 0, 0, 0, 1)) == (2, 3, 4)
-    assert fixed_lines(sequence_l_vector((1, 2, 3, 1))) == ()
-    assert fixed_lines(sequence_l_vector((1, 2, 1, 1, 1))) == (4, 5)
+    assert minitwistor_model((1, 1, 1, 1)).fixed_lines == (2, 3, 4)
+    assert minitwistor_model((1, 2, 3, 1)).fixed_lines == ()
+    assert minitwistor_model((1, 2, 1, 1, 1)).fixed_lines == (4, 5)
+
+
+def vanishing_order(coeffs: list[Fraction], root: Fraction) -> int:
+    """Order of root as a zero of the nonzero polynomial sum coeffs[d] x^d,
+    by repeated exact synthetic division by x - root."""
+    order = 0
+    while True:
+        carry = Fraction(0)
+        quotient = []
+        for c in reversed(coeffs):
+            carry = carry * root + c
+            quotient.append(carry)
+        if quotient.pop():
+            return order
+        coeffs = quotient[::-1]
+        order += 1
+
+
+def test_equation_vanishing_orders_are_the_singularity_list():
+    # the equation and the singularity list are both read off l; tie one to
+    # the other through the zeros of the right-hand side, with u_{n+2} = 1
+    rng = random.Random(20261018)
+    for n in range(8):
+        for seq in oriented_sequences(n):
+            lams = [Fraction(0)]
+            for _ in range(n):
+                lams.append(lams[-1] + Fraction(rng.randint(1, 20), rng.randint(1, 20)))
+            lams = tuple(lams) + (INF,)
+            model = minitwistor_model(seq, lams, rng.choice((1, -1)))
+            lvec = analyze_sequence(seq).l
+            coeffs = list(model.rhs.coefficients)
+            orders = [vanishing_order(coeffs, lam) for lam in lams[:-1]]
+            top = max(d for d, c in enumerate(coeffs) if c)
+            orders.append(model.rhs.degree - top)
+            assert orders[0] == orders[-1] == 1, seq
+            assert tuple(orders) == lvec, seq
+            records = model.singularities
+            real = {(r.index, r.order, r.location) for r in records if r.kind == "real-A"}
+            assert real == {(i, o - 1, lams[i - 1]) for i, o in enumerate(orders, start=1) if o > 1}
+            pair = [r.order for r in records if r.kind == "cyclic-quotient-pair"]
+            assert pair == ([model.m] if model.m > 1 else []), seq
 
 
 # ---------------------------------------------------------------------------
