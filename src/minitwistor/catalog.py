@@ -66,10 +66,6 @@ def enumerate_marked(n: int) -> tuple[tuple[int, ...], ...]:
     """All level-n sequences reachable from (1), one representative per
     reversal class, sorted.  Level sets are memoized, so walking up through
     the levels costs each level once.
-
-    Expansion is order-independent: partitioning the parents across workers
-    and merging the deduplicated results is guaranteed to reproduce this
-    exact tuple.
     """
     if n < 0:
         raise InvalidParameterError("n must be nonnegative")
@@ -134,17 +130,16 @@ class CatalogClass:
     slack: int | None
 
 
-def _build_class(key: tuple[tuple[int, ...], ...], reps: list[tuple[int, ...]]) -> CatalogClass:
-    members = sorted({orient for rep in reps for orient in (rep, rep[::-1])})
-    canonical = analyze_sequence(members[0])
-    return CatalogClass(
-        canonical=canonical.k,
-        members=tuple(members),
-        u1_key=key,
-        m=canonical.m,
-        l=canonical.l,
-        slack=canonical.slack,
-    )
+def _build_classes(groups: dict[tuple, list[tuple[int, ...]]]) -> list[CatalogClass]:
+    """One class per key from its group of sequences, closed under reversal
+    here, sorted by canonical member.  A miss and a cache hit both build their
+    classes here, so a hit's derived fields are the miss's."""
+    classes = []
+    for key, reps in groups.items():
+        members = sorted({orient for rep in reps for orient in (rep, rep[::-1])})
+        rec = analyze_sequence(members[0])
+        classes.append(CatalogClass(rec.k, tuple(members), key, rec.m, rec.l, rec.slack))
+    return sorted(classes, key=lambda c: c.canonical)
 
 
 def _member_count(n: int, key: tuple[tuple[int, ...], ...]) -> int:
@@ -159,15 +154,21 @@ def _member_count(n: int, key: tuple[tuple[int, ...], ...]) -> int:
     return count
 
 
+def _canonical_member(n: int, key: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Lexicographically least member of the level-n class with block
+    multiset key, in closed form: every spare one in front, then each block
+    followed by a one, in key order.  A block followed by a one is never a
+    prefix of another, so key order is the least order of the blocks."""
+    return (1,) * (n + 1 - sum(map(len, key)) - len(key)) + sum((b + (1,) for b in key), ())
+
+
 def u1_classes(n: int) -> list[CatalogClass]:
     """Group the level-n sequences into circle-action classes, sorted by
     canonical member; delta(n) is their number."""
     groups: dict[tuple, list[tuple[int, ...]]] = {}
     for rep in enumerate_marked(n):
         groups.setdefault(u1_key(rep), []).append(rep)
-    classes = sorted(
-        (_build_class(key, reps) for key, reps in groups.items()), key=lambda c: c.canonical
-    )
+    classes = _build_classes(groups)
     if n < len(KNOWN_DELTA) and len(classes) != KNOWN_DELTA[n]:
         raise InternalInvariantError(
             f"u1_classes: n = {n}: equivalence relation produced delta({n}) = {len(classes)}, "
@@ -244,15 +245,11 @@ def family_fibonacci(n: int) -> tuple[int, ...]:
         raise InvalidParameterError("the maximal-step family needs n >= 2")
     seq = (1, 2, 1)
     for _ in range(n - 2):
-        best: tuple[int, tuple[int, ...]] | None = None
-        for i in range(len(seq) - 1):
-            child = reversal_canonical(
-                seq[: i + 1] + (seq[i] + seq[i + 1],) + seq[i + 1 :]
-            )
-            candidate = (-(seq[i] + seq[i + 1]), child)
-            if best is None or candidate < best:
-                best = candidate
-        seq = best[1]
+        # insertions(seq)[2:] are the mediant children, adjacency by adjacency
+        seq = min(
+            (-(seq[i] + seq[i + 1]), reversal_canonical(child))
+            for i, child in enumerate(insertions(seq)[2:])
+        )[1]
     if analyze_sequence(seq).m != fibonacci(n + 1):
         raise invariant_violation(
             "family_fibonacci", seq, "maximal-step sequence missed its Fibonacci step count"
@@ -298,9 +295,22 @@ def growth_report(n_max: int) -> tuple[DeltaRow, ...]:
 
 class CatalogCache:
     """Per-n JSON cache of the class catalog, by default in
-    ~/.cache/minitwistor."""
+    ~/.cache/minitwistor.
 
-    VERSION = 2
+    A version-3 file is ``{"version": 3, "n": n, "classes": [...]}``, one
+    entry per class: its sorted member list, canonical member first.  The
+    other fields of a class derive from its members, so a hit rebuilds them
+    with the builder a miss uses, which validates each canonical member.
+    load then checks once per class that the stored first member is the
+    built canonical and the closed-form canonical member of its key (so of
+    length n + 1), and that the class has the closed-form member count of its
+    key; and once for the whole set that the counts add up to the Catalan
+    number C_n of level-n sequences.  Keys are distinct, so the total proves
+    that no class is missing.  Members after the first are counted, not
+    walked: their entries are never validated.
+    """
+
+    VERSION = 3
 
     def __init__(self, directory: str | os.PathLike | None = None):
         self.directory = (
@@ -311,41 +321,27 @@ class CatalogCache:
         return self.directory / f"catalog_n{n}.json"
 
     def load(self, n: int) -> list[CatalogClass] | None:
-        # a missing, unreadable, truncated or wrongly shaped file is a miss.
-        # Each class is checked once, without walking its members' entries:
-        # its key must be the canonical member's, and its member count the
-        # closed form's.  type() rather than isinstance, since JSON true is
-        # no count.
+        # a missing, unreadable, truncated, too deeply nested or wrongly
+        # shaped file is a miss, and so is an invalid canonical member
+        # (InvalidSequenceError is a ValueError)
         try:
             data = json.loads(self.path(n).read_text(encoding="utf-8"))
             if data["version"] != self.VERSION or data["n"] != n:
                 return None
-            classes = []
+            groups = {}
             for entry in data["classes"]:
-                cls = CatalogClass(
-                    canonical=tuple(entry["canonical"]),
-                    members=tuple(tuple(mem) for mem in entry["members"]),
-                    u1_key=tuple(tuple(block) for block in entry["u1_key"]),
-                    m=entry["m"],
-                    l=tuple(entry["l"]),
-                    slack=entry["slack"],
-                )
-                if not (
-                    cls.canonical == cls.members[0]
-                    and type(cls.m) is int
-                    and (cls.slack is None or type(cls.slack) is int)
-                    and len(cls.l) == len(cls.canonical) + 1
-                    and all(type(x) is int for x in cls.l)
-                    and cls.u1_key == u1_key(cls.canonical)
-                    and len(cls.members) == _member_count(n, cls.u1_key)
-                ):
-                    return None
-                classes.append(cls)
-        except (OSError, ValueError, LookupError, TypeError):
+                members = [tuple(member) for member in entry]
+                groups[u1_key(members[0])] = members
+            classes = _build_classes(groups)
+            sound = all(
+                cls.canonical == groups[cls.u1_key][0] == _canonical_member(n, cls.u1_key)
+                and len(cls.members) == _member_count(n, cls.u1_key)
+                for cls in classes
+            )
+        except (OSError, ValueError, LookupError, TypeError, RecursionError):
             return None
-        if n < len(KNOWN_DELTA) and len(classes) != KNOWN_DELTA[n]:
-            return None
-        return classes
+        total = sum(len(cls.members) for cls in classes)
+        return classes if sound and total == comb(2 * n, n) // (n + 1) else None
 
     def store(self, n: int, classes: list[CatalogClass]) -> Path | None:
         path = self.path(n)
@@ -353,7 +349,7 @@ class CatalogCache:
             path.parent.mkdir(parents=True, exist_ok=True)
         except OSError:
             return None
-        payload = {"version": self.VERSION, "n": n, "classes": [vars(cls) for cls in classes]}
+        payload = {"version": self.VERSION, "n": n, "classes": [cls.members for cls in classes]}
         # write beside the target and rename over it, so a reader never sees
         # a partly written file
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")

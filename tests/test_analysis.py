@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,8 @@ from minitwistor import (
     reduction_trace,
     regularity,
     restriction_multiplicities,
+    self_intersections,
+    sequence_from_fan,
     trace_divisor,
 )
 
@@ -67,6 +71,24 @@ def insertion_path(choices):
 @given(st.lists(st.integers(min_value=0, max_value=2**16), max_size=40))
 def test_record_matches_simulation_on_random_paths(choices):
     assert_matches_oracle(insertion_path(choices))
+
+
+def test_fan_and_divisor_identities_on_random_paths():
+    # seeded paths rather than hypothesis, so the cost stays fixed
+    rng = random.Random(805_0042)
+    for _ in range(300):
+        seq = insertion_path([rng.randrange(2**16) for _ in range(rng.randint(0, 40))])
+        n = len(seq) - 1
+        for oriented in (seq, seq[::-1]):
+            fan = fan_from_sequence(oriented)
+            assert sequence_from_fan(fan, 1) == oriented
+            assert sum(self_intersections(fan)) == -3 * n
+        rec = analyze_sequence(seq)
+        assert trace_divisor(reduction_trace(seq)) == rec.divisor
+        assert restriction_multiplicities(rec.divisor, rec) == (
+            (rec.m,) + tuple(rec.m + k for k in seq),
+            (rec.m,) + tuple(rec.m - k for k in seq),
+        )
 
 
 def test_record_passes_through_and_is_frozen():

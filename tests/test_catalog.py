@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+from math import comb
 
 from minitwistor import (
     FIBONACCI_TABLE,
@@ -28,7 +29,7 @@ from minitwistor import (
     u1_classes_cached,
     u1_key,
 )
-from minitwistor.catalog import _member_count
+from minitwistor.catalog import _canonical_member, _member_count
 from minitwistor.cli import main
 
 #: marked sequences up to reversal, frozen from the generator (regression)
@@ -151,8 +152,9 @@ def test_class_structure():
                     slacks.append(regularity(member).slack)
             assert cls.l == l_vector(trace_divisor(reduction_trace(cls.canonical)))
             assert cls.slack == (max(slacks) if slacks else None)
+            # every spare one sits in the canonical member's leading run
+            assert cls.canonical == min(cls.members) == _canonical_member(n, cls.u1_key)
             if cls.u1_key:
-                # every spare one sits in the canonical member's leading run
                 assert cls.slack == n - sum(map(len, cls.u1_key)) - len(cls.u1_key)
 
 
@@ -335,39 +337,42 @@ def test_cache_round_trip(tmp_path):
     assert u1_classes_cached(4, cache) == classes == cache.load(4)
 
 
+def version_2_payload(n, classes):
+    """A cache file as format 2 wrote it: every field of every class."""
+    return {"version": 2, "n": n, "classes": [vars(cls) for cls in classes]}
+
+
 def test_cache_rejects_corruption(tmp_path):
     cache = CatalogCache(tmp_path)
     classes = u1_classes_cached(3, cache)
-    good = cache.path(3).read_text(encoding="utf-8")
+    good = json.loads(cache.path(3).read_text(encoding="utf-8"))
+    entries = good["classes"]
 
-    def edited(index=0, **fields):
-        payload = json.loads(good)
-        payload["classes"][index].update(fields)
-        return json.dumps(payload)
+    def with_classes(replaced):
+        return json.dumps(dict(good, classes=replaced))
 
-    no_members = json.loads(good)
-    del no_members["classes"][0]["members"]
-    version_1 = dict(json.loads(good), version=1, delta=3)
-    # unparsable text, JSON of the wrong shape, a version-1 file, then a
-    # class whose values are not those of a class: a stray member, or a key
-    # that is not its canonical member's
-    texts = ["{not json", "[1,2]", json.dumps(no_members), '"catalog"', "7", json.dumps(version_1)]
+    # unparsable or too deeply nested text, JSON of the wrong shape and a
+    # version-2 file
+    texts = ["{not json", "[" * 100_000 + "]" * 100_000]
+    texts += ["[1,2]", '"catalog"', "7", json.dumps({"version": 3, "n": 3})]
+    texts += [with_classes(shape) for shape in (5, [5], [[5]], [["xyz"]], [{"members": []}])]
+    texts.append(json.dumps(version_2_payload(3, classes)))
+    # then entries that are not a class: an empty member list, a stray
+    # member, an invalid canonical, a dropped class, a first member that is
+    # not the canonical, a class of level 2, and a class's members moved into
+    # another (the total still C_3)
     texts += [
-        edited(**fields)
-        for fields in (
-            {"members": []},
-            {"canonical": "xyz"},
-            {"canonical": [1, 1, 2, 1]},
-            {"m": "many"},
-            {"m": 1.5},
-            {"m": True},
-            {"slack": "none"},
-            {"l": [0, 0, 0]},
-            {"l": [0, 0, 0, "0", 0]},
-            {"members": json.loads(good)["classes"][0]["members"] + [[9, 9, 9, 9]]},
+        with_classes(replaced)
+        for replaced in (
+            [[]] + entries[1:],
+            [entries[0] + [[9, 9, 9, 9]]] + entries[1:],
+            [entries[0], [[1, 1, 4, 1], [1, 4, 1, 1]], entries[2]],
+            entries[:2],
+            [entries[0], entries[1][::-1], entries[2]],
+            [[[1, 1, 1]]] + entries[1:],
+            [entries[0] + entries[2], entries[1]],
         )
     ]
-    texts.append(edited(1, u1_key=[["zz"]]))
     for text in texts:
         cache.path(3).write_text(text, encoding="utf-8")
         assert cache.load(3) is None, text
@@ -382,38 +387,60 @@ def run_catalog(argv):
 
 
 def test_edited_cache_file_prints_true_classes(tmp_path):
-    fresh = run_catalog(["--n", "3", "--no-cache"])
-    assert fresh.startswith("n = 3: delta = 3 ")
-    argv = ["--n", "3", "--cache-dir", str(tmp_path)]
-    assert run_catalog(argv) == fresh
-    path = CatalogCache(tmp_path).path(3)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    # a stray "delta" is ignored: a hit counts its classes
+    def catalog_after_edit(n, payload):
+        argv = ["--n", str(n), "--cache-dir", str(tmp_path)]
+        CatalogCache(tmp_path).path(n).write_text(json.dumps(payload), encoding="utf-8")
+        assert CatalogCache(tmp_path).load(n) is None
+        return run_catalog(argv)
+
+    # format 2 stored every field, and a hit once printed them as edited
+    fresh = run_catalog(["--n", "4", "--no-cache"])
+    assert "  1,2,1,2,1  members=1 m=3 slack=0\n" in fresh
+    payload = version_2_payload(4, u1_classes(4))
+    (edited,) = [entry for entry in payload["classes"] if entry["canonical"] == (1, 2, 1, 2, 1)]
+    edited.update(m=99, slack=7, l=[1, 1, 1, 1, 1, 1])
+    assert catalog_after_edit(4, payload) == fresh
+    # a class that no analysis accepts: 1,3,1 in place of 1,2,1
+    fresh = run_catalog(["--n", "2", "--no-cache"])
+    assert fresh.endswith("  1,2,1  members=1 m=2 slack=0\n")
+    payload = version_2_payload(2, u1_classes(2))
+    payload["classes"][1] = {
+        "canonical": [1, 3, 1], "members": [[1, 3, 1]], "u1_key": [[3]], "m": 3,
+        "l": [1, 2, 2, 1], "slack": 0,
+    }
+    assert catalog_after_edit(2, payload) == fresh
+    payload = {"version": 3, "n": 2, "classes": [[[1, 1, 1]], [[1, 3, 1]]]}
+    assert catalog_after_edit(2, payload) == fresh
+    # a valid member standing in for the canonical 1,1,2,1,2,1, with strays
+    # that keep the member count
+    fresh = run_catalog(["--n", "5", "--no-cache"])
+    assert "  1,1,2,1,2,1  members=3 m=3 slack=1\n" in fresh
+    classes = u1_classes(5)
+    payload = {"version": 3, "n": 5, "classes": [cls.members for cls in classes]}
+    (index,) = [i for i, cls in enumerate(classes) if cls.canonical == (1, 1, 2, 1, 2, 1)]
+    payload["classes"][index] = [[1, 2, 1, 1, 2, 1], [3, 3, 3, 3, 3, 3], [4, 4, 4, 4, 4, 4]]
+    assert catalog_after_edit(5, payload) == fresh
+    # a dropped class, past the n <= 5 that KNOWN_DELTA covers; a stray
+    # "delta" is ignored either way
+    fresh = run_catalog(["--n", "7", "--no-cache"])
+    assert fresh.startswith("n = 7: delta = 119 ")
+    assert run_catalog(["--n", "7", "--cache-dir", str(tmp_path)]) == fresh
+    payload = json.loads(CatalogCache(tmp_path).path(7).read_text(encoding="utf-8"))
     payload["delta"] = 99
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    assert CatalogCache(tmp_path).load(3) is not None
-    assert run_catalog(argv) == fresh
-    payload["classes"][0].update(canonical="xyz", m="many")
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    assert run_catalog(argv) == fresh
-    assert "  1,1,1,1  members=1 " in fresh
-    for index, fields in (
-        (0, {"members": [[1, 1, 1, 1], [9, 9, 9, 9]]}),
-        (1, {"u1_key": [["zz"]]}),
-    ):
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["classes"][index].update(fields)
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        assert CatalogCache(tmp_path).load(3) is None
-        assert run_catalog(argv) == fresh
+    del payload["classes"][5]
+    assert catalog_after_edit(7, payload) == fresh
 
 
 def test_member_count_closed_form():
     # the cache's load check rests on this count; a wrong formula would only
     # show as silent misses
     for n in range(11):
-        for cls in u1_classes(n):
+        classes = u1_classes(n)
+        for cls in classes:
             assert _member_count(n, cls.u1_key) == len(cls.members), cls.canonical
+        # and its completeness check on this total: the Catalan number C_n
+        # of level-n sequences, counted in both orientations
+        assert sum(len(cls.members) for cls in classes) == comb(2 * n, n) // (n + 1)
 
 
 def test_cache_hit_prints_what_the_miss_printed(tmp_path, count_calls):
@@ -452,12 +479,33 @@ def test_cache_reads_truncated_file_as_miss(tmp_path):
         assert cache.load(4) == classes
 
 
+def test_cache_hit_validates_each_class_once(tmp_path, count_calls):
+    argv = ["--n", "7", "--cache-dir", str(tmp_path)]
+    miss = run_catalog(argv)
+    calls = {
+        name: count_calls(module, name)
+        for module, name in (
+            ("catalog", "enumerate_marked"),
+            ("catalog", "u1_classes"),
+            ("fans", "validate_sequence"),
+            ("catalog", "u1_key"),
+        )
+    }
+    assert run_catalog(argv) == miss
+    assert calls["enumerate_marked"] == calls["u1_classes"] == []
+    # one canonical member per class; a walk over all 429 members would
+    # key or validate every one of them
+    assert len(calls["validate_sequence"]) == 119
+    assert len(calls["u1_key"]) <= 2 * 119
+
+
 def test_cache_file_schema(tmp_path):
     cache = CatalogCache(tmp_path)
-    u1_classes_cached(2, cache)
-    payload = json.loads(cache.path(2).read_text(encoding="utf-8"))
+    u1_classes_cached(3, cache)
+    payload = json.loads(cache.path(3).read_text(encoding="utf-8"))
     assert set(payload) == {"version", "n", "classes"}
-    assert payload["version"] == CatalogCache.VERSION == 2 and payload["n"] == 2
-    assert len(payload["classes"]) == 2
-    entry = payload["classes"][0]
-    assert set(entry) == {"canonical", "members", "u1_key", "m", "l", "slack"}
+    assert payload["version"] == CatalogCache.VERSION == 3 and payload["n"] == 3
+    # each class is its sorted member list, canonical member first
+    assert payload["classes"] == [
+        [[1, 1, 1, 1]], [[1, 1, 2, 1], [1, 2, 1, 1]], [[1, 2, 3, 1], [1, 3, 2, 1]],
+    ]
