@@ -301,13 +301,13 @@ class CatalogCache:
     entry per class: its sorted member list, canonical member first.  The
     other fields of a class derive from its members, so a hit rebuilds them
     with the builder a miss uses, which validates each canonical member.
-    load then checks once per class that the stored first member is the
-    built canonical and the closed-form canonical member of its key (so of
-    length n + 1), and that the class has the closed-form member count of its
-    key; and once for the whole set that the counts add up to the Catalan
-    number C_n of level-n sequences.  Keys are distinct, so the total proves
-    that no class is missing.  Members after the first are counted, not
-    walked: their entries are never validated.
+    load then checks once per class that the built canonical is the
+    closed-form canonical member of its key (so it has that key and length
+    n + 1), and that the class has the closed-form member count of its key;
+    and once for the whole set that the counts add up to the Catalan number
+    C_n of level-n sequences.  Keys are distinct, so the total proves that no
+    class is missing.  The other members are counted, not walked: their
+    entries are never validated.
     """
 
     VERSION = 3
@@ -334,7 +334,7 @@ class CatalogCache:
                 groups[u1_key(members[0])] = members
             classes = _build_classes(groups)
             sound = all(
-                cls.canonical == groups[cls.u1_key][0] == _canonical_member(n, cls.u1_key)
+                cls.canonical == _canonical_member(n, cls.u1_key)
                 and len(cls.members) == _member_count(n, cls.u1_key)
                 for cls in classes
             )

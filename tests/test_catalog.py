@@ -358,9 +358,8 @@ def test_cache_rejects_corruption(tmp_path):
     texts += [with_classes(shape) for shape in (5, [5], [[5]], [["xyz"]], [{"members": []}])]
     texts.append(json.dumps(version_2_payload(3, classes)))
     # then entries that are not a class: an empty member list, a stray
-    # member, an invalid canonical, a dropped class, a first member that is
-    # not the canonical, a class of level 2, and a class's members moved into
-    # another (the total still C_3)
+    # member, an invalid canonical, a dropped class, a class of level 2, and
+    # a class's members moved into another (the total still C_3)
     texts += [
         with_classes(replaced)
         for replaced in (
@@ -368,7 +367,6 @@ def test_cache_rejects_corruption(tmp_path):
             [entries[0] + [[9, 9, 9, 9]]] + entries[1:],
             [entries[0], [[1, 1, 4, 1], [1, 4, 1, 1]], entries[2]],
             entries[:2],
-            [entries[0], entries[1][::-1], entries[2]],
             [[[1, 1, 1]]] + entries[1:],
             [entries[0] + entries[2], entries[1]],
         )
@@ -377,6 +375,11 @@ def test_cache_rejects_corruption(tmp_path):
         cache.path(3).write_text(text, encoding="utf-8")
         assert cache.load(3) is None, text
         assert u1_classes_cached(3, cache) == classes == cache.load(3)
+    # a first member that is not the canonical is still the same class: the
+    # builder sorts the members, so storage order is not checked
+    reordered = with_classes([entries[0], entries[1][::-1], entries[2]])
+    cache.path(3).write_text(reordered, encoding="utf-8")
+    assert cache.load(3) == classes
 
 
 def run_catalog(argv):
@@ -420,13 +423,23 @@ def test_edited_cache_file_prints_true_classes(tmp_path):
     (index,) = [i for i, cls in enumerate(classes) if cls.canonical == (1, 1, 2, 1, 2, 1)]
     payload["classes"][index] = [[1, 2, 1, 1, 2, 1], [3, 3, 3, 3, 3, 3], [4, 4, 4, 4, 4, 4]]
     assert catalog_after_edit(5, payload) == fresh
-    # a dropped class, past the n <= 5 that KNOWN_DELTA covers; a stray
-    # "delta" is ignored either way
+    # a stray member in a version-3 file, through catalog
+    fresh = run_catalog(["--n", "3", "--no-cache"])
+    assert "  1,1,1,1  members=1 " in fresh
+    payload = {"version": 3, "n": 3, "classes": [cls.members for cls in u1_classes(3)]}
+    payload["classes"][0] = [[1, 1, 1, 1], [9, 9, 9, 9]]
+    assert catalog_after_edit(3, payload) == fresh
+    # a stray "delta" is ignored: a hit counts its classes
     fresh = run_catalog(["--n", "7", "--no-cache"])
     assert fresh.startswith("n = 7: delta = 119 ")
     assert run_catalog(["--n", "7", "--cache-dir", str(tmp_path)]) == fresh
-    payload = json.loads(CatalogCache(tmp_path).path(7).read_text(encoding="utf-8"))
+    path = CatalogCache(tmp_path).path(7)
+    payload = json.loads(path.read_text(encoding="utf-8"))
     payload["delta"] = 99
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert CatalogCache(tmp_path).load(7) == u1_classes(7)
+    assert run_catalog(["--n", "7", "--cache-dir", str(tmp_path)]) == fresh
+    # a dropped class, past the n <= 5 that KNOWN_DELTA covers
     del payload["classes"][5]
     assert catalog_after_edit(7, payload) == fresh
 
