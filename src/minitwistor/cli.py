@@ -58,8 +58,21 @@ def _parse_c(text: str) -> int:
     raise InvalidParameterError("c must be +1 or -1")
 
 
+class _Decimal(dict):
+    """str of an integer, looked up for 0..610 (610 = F(15) is the largest
+    entry of a level-14 sequence) and computed past them."""
+
+    __slots__ = ()
+
+    def __missing__(self, k: int) -> str:
+        return str(k)
+
+
+_DECIMAL = _Decimal((k, str(k)) for k in range(611))
+
+
 def _format_seq(seq: tuple[int, ...]) -> str:
-    return ",".join(str(k) for k in seq)
+    return ",".join(map(_DECIMAL.__getitem__, seq))
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +188,24 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         if args.format == "json":
             sys.stdout.write(dumps({"n": n, "count": len(reps), "classes": reps}))
         else:
-            print(f"n = {n}: {len(reps)} marked sequences up to reversal")
-            for rep in reps:
-                print("  " + _format_seq(rep))
+            # one write, rows formatted inline: a per-row call costs as much
+            # as the lookups it would wrap
+            header = f"n = {n}: {len(reps)} marked sequences up to reversal"
+            rows = [",".join(map(_DECIMAL.__getitem__, rep)) for rep in reps]
+            sys.stdout.write("\n  ".join([header, *rows]) + "\n")
         return 0
     cache = None if args.no_cache else cat.CatalogCache(args.cache_dir)
     classes = cat.u1_classes_cached(n, cache)
     if args.format == "json":
         sys.stdout.write(dumps({"n": n, "delta": len(classes), "classes": classes}))
     else:
-        print(f"n = {n}: delta = {len(classes)} circle-action classes")
-        for cls in classes:
-            slack = "-" if cls.slack is None else str(cls.slack)
-            print(
-                f"  {_format_seq(cls.canonical)}  members={len(cls.members)} "
-                f"m={cls.m} slack={slack}"
-            )
+        header = f"n = {n}: delta = {len(classes)} circle-action classes"
+        rows = [
+            f"{','.join(map(_DECIMAL.__getitem__, cls.canonical))}  members={len(cls.members)} "
+            f"m={cls.m} slack={'-' if cls.slack is None else cls.slack}"
+            for cls in classes
+        ]
+        sys.stdout.write("\n  ".join([header, *rows]) + "\n")
     return 0
 
 

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import random
 from math import comb
+
+import pytest
+
+import minitwistor
 
 from minitwistor import (
     FIBONACCI_TABLE,
@@ -30,7 +36,10 @@ from minitwistor import (
     u1_key,
 )
 from minitwistor.catalog import _canonical_member, _member_count
+from minitwistor.errors import InvalidParameterError
 from minitwistor.cli import main
+
+from support import marked_by_insertion
 
 #: marked sequences up to reversal, frozen from the generator (regression)
 MARKED_COUNTS = {0: 1, 1: 1, 2: 2, 3: 3, 4: 9, 5: 22, 6: 71, 7: 217, 8: 729}
@@ -79,6 +88,48 @@ def test_enumerate_counts_regression():
 def test_level4_collapses_nine_to_seven():
     assert len(enumerate_marked(4)) == 9
     assert len(u1_classes(4)) == 7
+
+
+def test_enumeration_matches_the_insertion_oracle():
+    for n, expected in enumerate(marked_by_insertion(12)):
+        level = enumerate_marked(n)
+        assert level == expected
+        assert len(set(level)) == len(level)
+        # reversal pairs up the C_n sequences of the level and fixes the
+        # palindromes
+        palindromes = sum(seq == seq[::-1] for seq in expected)
+        assert len(level) == (comb(2 * n, n) // (n + 1) + palindromes) // 2
+
+
+def test_enumerate_marked_is_the_only_memo(count_calls):
+    # the benchmark clears this one memo to make each catalog miss cold
+    memos = set()
+    for info in pkgutil.iter_modules(minitwistor.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"minitwistor.{info.name}")
+        for value in vars(module).values():
+            members = list(vars(value).values()) if isinstance(value, type) else []
+            memos |= {
+                f"{obj.__module__}.{obj.__qualname__}"
+                for obj in [value, *members]
+                if hasattr(obj, "cache_info")
+            }
+    assert memos == {"minitwistor.catalog.enumerate_marked"}
+    enumerate_marked.cache_clear()
+    calls = count_calls("catalog", "enumerate_marked")
+    u1_classes(6)
+    assert calls == [(n,) for n in range(6, -1, -1)]
+
+
+def test_level_limit_is_checked_before_any_work(count_calls):
+    calls = count_calls("catalog", "enumerate_marked")
+    for call, n in ((enumerate_marked, 15), (u1_classes, 15), (growth_report, 5000)):
+        with pytest.raises(InvalidParameterError, match="limit n <= 14"):
+            call(n)
+    # the direct call goes through this module's unwrapped binding, so an
+    # empty list means no recursion and no call from the other two
+    assert calls == []
 
 
 def test_enumeration_is_partition_independent():

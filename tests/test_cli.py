@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -267,13 +268,15 @@ def increasing_lambdas(steps):
 @st.composite
 def cli_argv(draw, cache_dir):
     """An argv over every subcommand, valid or not.  The sizes stay small
-    because no work limit exists yet (ROADMAP.md): sequences have at most 9
-    entries of at most 30, and catalog and tables n is at most 7.  catalog
-    always gets --no-cache or a temporary --cache-dir, never the home
-    cache."""
+    where no work limit exists yet (ROADMAP.md): sequences have at most 9
+    entries of at most 30, and tables n is at most 7.  catalog --n and
+    tables delta --n-max also take levels above the enumeration limit
+    (n <= 14), which must exit 2 before any work.  catalog always gets
+    --no-cache or a temporary --cache-dir, never the home cache."""
     command = draw(st.sampled_from(SEQ_COMMANDS + ("catalog", "tables")))
     argv = [command]
     small_n = st.integers(min_value=-2, max_value=7).map(str)
+    level_n = st.one_of(small_n, st.integers(min_value=15, max_value=10**6).map(str))
     if command in SEQ_COMMANDS:
         entries = draw(
             st.one_of(
@@ -298,18 +301,35 @@ def cli_argv(draw, cache_dir):
             if draw(st.booleans()):
                 argv += ["--c", draw(st.sampled_from(("+1", "1", "-1", "0", "x")))]
     elif command == "catalog":
-        argv += ["--n", draw(small_n), "--classes", draw(st.sampled_from(("u1", "marked", "x")))]
+        argv += ["--n", draw(level_n), "--classes", draw(st.sampled_from(("u1", "marked", "x")))]
         argv += draw(st.sampled_from((["--no-cache"], ["--cache-dir", cache_dir])))
     else:
-        argv.append(draw(st.sampled_from(("delta", "fibonacci", "lebrun", "involutive", "x"))))
+        which = draw(st.sampled_from(("delta", "fibonacci", "lebrun", "involutive", "x")))
+        argv.append(which)
         for flag in ("--n-max", "--n"):
             if draw(st.booleans()):
-                argv += [flag, draw(small_n)]
+                argv += [flag, draw(level_n if (which, flag) == ("delta", "--n-max") else small_n)]
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(("json", "latex", "text", "x")))]
     if draw(st.booleans()):
         argv += draw(st.lists(st.sampled_from(JUNK_TOKENS), min_size=1, max_size=2))
     return argv
+
+
+def test_absurd_level_exits_2_at_once():
+    for argv in (
+        ["catalog", "--n", "5000", "--no-cache"],
+        ["catalog", "--classes", "marked", "--n", "15", "--no-cache"],
+        ["tables", "delta", "--n-max", "5000"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2, argv
+        assert out.getvalue() == "", argv
+        assert "limit n <= 14" in err.getvalue(), argv
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -43,6 +43,12 @@ GOLDEN = (
     ("tables fibonacci --n-max 9 --format json", "ec02bff9cb7a28d87d33d7f415f7c18c6f35e7a7db8843e7cb706da23b85a0c2"),
     ("tables involutive --n 7", "d04df832f98b26988579af909ca362553fd8b1afc5ed7e0c5fae9297eb35eea2"),
     ("tables lebrun --n 7 --format json", "f1c0a2a45fee39914ae04d6088df499f05fe46f9afe912e5cba6972f6df024ba"),
+    # recorded from the set-based enumerator and the line-by-line listings;
+    # fibonacci n = 15, 16 print the entries 987 and 1597, past the lookup
+    # table of the sequence formatter
+    ("catalog --classes marked --n 10 --no-cache", "b702af4a7bafe683c5e4947d22d5bdec4a2ba8f6edd23ab0e77b62af9f80aa1a"),
+    ("catalog --n 9 --no-cache", "3b57c3c66ce097aa5fb65098cd5458fb0ea8645de2578205a9ac36340cffffcb"),
+    ("tables fibonacci --n-max 16", "237293370cc8d72365af8c91d02769814950289155da5958c89c7e79e08efb18"),
 )
 
 
