@@ -38,7 +38,7 @@ print(f"total                l  = {rec.l}   (sums to 2m = {2 * rec.m})")
 
 # Restricting the divisor to the invariant surface hits each cycle component
 # C_i with multiplicity m + k_i and its conjugate with m - k_i.
-cycle, conj = restriction_multiplicities(rec.divisor, rec)
+cycle, conj = restriction_multiplicities(rec)
 print(f"\nrestriction to the cycle:  {cycle}")
 print(f"restriction to conjugates: {conj}")
 

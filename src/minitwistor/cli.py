@@ -85,12 +85,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     lambdas = _parse_lambdas(args.lambdas)
     c_sign = _parse_c(args.c)
     model = minitwistor_model(rec, lambdas, c_sign)
-    cycle, conj_cycle = restriction_multiplicities(rec.divisor, rec)
     joyce = discriminant_joyce(rec)
     deformed = None if rec.semi_free else discriminant_deformed(rec)
     schedule = blow_up_schedule(rec)
 
     if args.format == "json":
+        cycle, conj_cycle = restriction_multiplicities(rec)
         report = sequence_summary(rec)
         report.update(
             {
@@ -212,7 +212,6 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 def _tables_delta(args: argparse.Namespace) -> int:
     if args.n_max < 0:
         raise InvalidParameterError("tables delta needs --n-max >= 0")
-    # u1_classes already gates each delta(n) against KNOWN_DELTA
     rows = cat.growth_report(args.n_max)
     if args.format == "json":
         sys.stdout.write(dumps({"rows": rows}))
@@ -227,6 +226,7 @@ def _tables_delta(args: argparse.Namespace) -> int:
 def _tables_fibonacci(args: argparse.Namespace) -> int:
     if args.n_max < 2:
         raise InvalidParameterError("tables fibonacci needs --n-max >= 2")
+    cat._check_family(args.n_max)
     rows = []
     for n in range(2, args.n_max + 1):
         rec = analyze_sequence(cat.family_fibonacci(n))
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "tables",
         parents=[fmt],
-        help="regenerate a stored table and diff it against the embedded copy",
+        help="delta(n) counts or a named family; fibonacci is diffed against its stored rows",
     )
     p.add_argument("which", choices=("delta", "fibonacci", "lebrun", "involutive"))
     p.add_argument("--n-max", type=int, default=None, help="last n for delta/fibonacci")

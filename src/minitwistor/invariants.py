@@ -8,9 +8,11 @@ k_1 = k_{n+3} = 0, every invariant has a closed form, for i = 1..n+2:
     l_i   = |k_{i+1} - k_i|            m     = sum_i l_i^+
 
 The plus/minus vectors are the multiplicities of a distinguished divisor, and
-their sum l drives fibers, singularities and discriminants.  With lead and
-trail the numbers of ones at the two ends of the sequence, the regular-run
-indices are r = lead + 1 and s = n + 3 - trail, so the slack n + r - s of the
+their sum l drives fibers, singularities and discriminants.  The divisor
+restricts to the cycle with multiplicity m + k_i on C_i and m - k_i on its
+conjugate (m on C_1 and its conjugate).  With lead and trail the numbers of
+ones at the two ends of the sequence, the regular-run indices are
+r = lead + 1 and s = n + 3 - trail, so the slack n + r - s of the
 deformability criterion is lead + trail - 2.
 
 :func:`analyze_sequence` validates a sequence once and returns all of this as
@@ -23,7 +25,9 @@ level, so their number is m.
 The decrement simulation itself (:func:`reduction_steps`,
 :func:`reduction_trace`), the divisor assembled from its steps
 (:func:`trace_divisor`) and the run scan of :func:`regularity` stay as the
-test oracle for these closed forms; no library path calls them.
+test oracle for these closed forms; no library path calls them.  The tests
+check the restriction against the component-by-component accumulation over
+the trace.
 
 Indices follow the geometry: weights are indexed 2..n+2 and divisors 1..n+2.
 Python tuples hold the entries in that order, while every index appearing in
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import add, mul, sub
 
-from .errors import InvalidSequenceError, invariant_violation
+from .errors import invariant_violation
 from .fans import HalfFan, Ray, sequence_from_fan, validate_sequence
 
 SEMI_FREE_NOTE = "semi-free: handled by LeBrun theory"
@@ -107,10 +111,6 @@ class SequenceAnalysis:
     slack: int | None
     deformable: bool
     note: str | None = None
-
-    @property
-    def divisor(self) -> TraceDivisor:
-        return TraceDivisor(n=self.n, plus=self.l_plus, minus=self.l_minus)
 
     @cached_property
     def trace(self) -> ReductionTrace:
@@ -198,6 +198,17 @@ def _end_runs(k: tuple[int, ...]) -> tuple[int, int] | None:
 
 def _weights(seq: Weights) -> tuple[int, ...]:
     return seq.k if isinstance(seq, SequenceAnalysis) else seq
+
+
+def restriction_multiplicities(seq: Weights) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Multiplicities m + k_i on C_i and m - k_i on conj C_i (m on C_1 and
+    its conjugate) of the divisor's restriction to the cycle.  A plus
+    component a restricts to C_{a+1}, ..., conj C_a and a minus component b
+    to C_b, ..., conj C_{b+1}; as l^+ and l^- are the positive and negative
+    parts of the differences of (0, k, 0), their sum telescopes to m +/- k_i."""
+    rec = analyze_sequence(seq)
+    m = rec.m
+    return (m, *[m + k for k in rec.k]), (m, *[m - k for k in rec.k])
 
 
 # ---------------------------------------------------------------------------
@@ -294,46 +305,6 @@ def l_vector(div: TraceDivisor) -> tuple[int, ...]:
 def sequence_l_vector(seq: Weights) -> tuple[int, ...]:
     """Convenience: l-vector straight from a weight sequence."""
     return analyze_sequence(seq).l
-
-
-def restriction_multiplicities(
-    div: TraceDivisor, seq: Weights
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Multiplicities of the cycle components in the divisor's restriction.
-
-    Each plus component restricts to the half-cycle C_{a+1}, ..., conj C_a and
-    each minus component to C_b, ..., conj C_{b+1}; accumulating them must give
-    exactly m + k_i on C_i and m - k_i on conj C_i (and m on both C_1 and its
-    conjugate).  A mismatch is an implementation bug, so it raises.
-    """
-    seq = _weights(seq)
-    n = div.n
-    if len(seq) != n + 1:
-        raise InvalidSequenceError("sequence length does not match the divisor")
-    c = [0] * (n + 2)
-    cbar = [0] * (n + 2)
-    for a in range(1, n + 3):
-        weight = div.plus[a - 1]
-        if weight:
-            for t in range(a + 1, n + 3):
-                c[t - 1] += weight
-            for t in range(1, a + 1):
-                cbar[t - 1] += weight
-    for b in range(1, n + 3):
-        weight = div.minus[b - 1]
-        if weight:
-            for t in range(1, b + 1):
-                c[t - 1] += weight
-            for t in range(b + 1, n + 3):
-                cbar[t - 1] += weight
-    m = div.m
-    expected_c = (m,) + tuple(m + k for k in seq)
-    expected_cbar = (m,) + tuple(m - k for k in seq)
-    if tuple(c) != expected_c or tuple(cbar) != expected_cbar:
-        raise invariant_violation(
-            "restriction_multiplicities", seq, "restriction multiplicities disagree with m +/- k_i"
-        )
-    return tuple(c), tuple(cbar)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from minitwistor import (
     u1_key,
 )
 
-from support import oriented_sequences
+from support import oriented_sequences, restriction_oracle
 
 
 def report(cid: int, ok: bool, label: str) -> None:
@@ -92,9 +92,10 @@ def test_criterion_04_divisor_structure_suite():
             ok = ok and m >= max(seq)
             ok = ok and not any(p and q for p, q in zip(div.plus, div.minus))
             ok = ok and sum(div.plus) == sum(div.minus) == m
-            c, cbar = restriction_multiplicities(div, seq)
+            c, cbar = restriction_oracle(trace)
             ok = ok and c == (m,) + tuple(m + k for k in seq)
             ok = ok and cbar == (m,) + tuple(m - k for k in seq)
+            ok = ok and restriction_multiplicities(seq) == (c, cbar)
     report(4, ok, "divisor structure suite exhaustive through n = 6")
 
 

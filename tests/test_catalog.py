@@ -7,6 +7,7 @@ import json
 import os
 import pkgutil
 import random
+import time
 from math import comb
 
 import pytest
@@ -39,7 +40,7 @@ from minitwistor.catalog import _canonical_member, _member_count
 from minitwistor.errors import InvalidParameterError
 from minitwistor.cli import main
 
-from support import marked_by_insertion
+from support import greedy_maximal_step, marked_by_insertion
 
 #: marked sequences up to reversal, frozen from the generator (regression)
 MARKED_COUNTS = {0: 1, 1: 1, 2: 2, 3: 3, 4: 9, 5: 22, 6: 71, 7: 217, 8: 729}
@@ -358,6 +359,24 @@ def test_family_fibonacci_table():
         assert reduction_trace(seq).m == m == fibonacci(n + 1)
 
 
+def test_family_fibonacci_matches_the_greedy_walk():
+    for n in range(2, 61):
+        assert family_fibonacci(n) == greedy_maximal_step(n), n
+
+
+def test_family_limit_is_checked_before_any_work(count_calls):
+    calls = count_calls("catalog", "analyze_sequence")
+    for family in (family_lebrun, family_involutive, family_fibonacci):
+        with pytest.raises(InvalidParameterError, match="limit n <= 500"):
+            family(501)
+    # the table of levels 2..501 stops before its first row
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["tables", "fibonacci", "--n-max", "501"]) == 2
+    assert calls == []
+    assert len(family_lebrun(500)) == 252
+    assert max(family_fibonacci(500)) == fibonacci(501)
+
+
 def test_family_fibonacci_is_argmax_through_n8():
     for n in range(2, 9):
         best = max(reduction_trace(seq).m for seq in enumerate_marked(n))
@@ -378,6 +397,26 @@ def test_growth_report():
     for row in rows[1:]:
         assert row.ratio > 0
         assert row.marked_classes == MARKED_COUNTS[row.n]
+
+
+def test_growth_report_matches_the_enumeration():
+    for row in growth_report(12):
+        assert row.delta == len(u1_classes(row.n)), row.n
+        assert row.marked_classes == len(enumerate_marked(row.n)), row.n
+
+
+def test_tables_delta_and_fibonacci_enumerate_nothing(count_calls):
+    classified = count_calls("catalog", "u1_classes")
+    enumerated = count_calls("catalog", "enumerate_marked")
+    inserted = count_calls("catalog", "insertions")
+    for argv in (["delta", "--n-max", "14"], ["delta", "--n-max", "14", "--format", "json"]):
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["tables", *argv]) == 0
+        assert time.perf_counter() - start < 1, argv
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["tables", "fibonacci", "--n-max", "16"]) == 0
+    assert classified == enumerated == inserted == []
 
 
 def test_cache_round_trip(tmp_path):

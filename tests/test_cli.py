@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from minitwistor.cli import main
 
-from support import oriented_sequences
+from support import oriented_sequences, src_env
 
 
 def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "minitwistor", *args], capture_output=True)
+    return subprocess.run(
+        [sys.executable, "-m", "minitwistor", *args], capture_output=True, env=src_env()
+    )
 
 
 def test_analyze_json_report():
@@ -211,6 +213,7 @@ def test_closed_stdout_pipe_exits_quietly():
          "--no-cache"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=src_env(),
     )
     first = proc.stdout.readline()
     proc.stdout.close()
@@ -269,14 +272,17 @@ def increasing_lambdas(steps):
 def cli_argv(draw, cache_dir):
     """An argv over every subcommand, valid or not.  The sizes stay small
     where no work limit exists yet (ROADMAP.md): sequences have at most 9
-    entries of at most 30, and tables n is at most 7.  catalog --n and
-    tables delta --n-max also take levels above the enumeration limit
-    (n <= 14), which must exit 2 before any work.  catalog always gets
-    --no-cache or a temporary --cache-dir, never the home cache."""
+    entries of at most 30.  Every level is at most 7 or above its limit,
+    which must exit 2 before any work: catalog --n and tables delta --n-max
+    take levels above the enumeration limit (n <= 14), and tables fibonacci
+    --n-max and tables lebrun and involutive --n levels above the family
+    limit (n <= 500).  catalog always gets --no-cache or a temporary
+    --cache-dir, never the home cache."""
     command = draw(st.sampled_from(SEQ_COMMANDS + ("catalog", "tables")))
     argv = [command]
     small_n = st.integers(min_value=-2, max_value=7).map(str)
     level_n = st.one_of(small_n, st.integers(min_value=15, max_value=10**6).map(str))
+    family_n = st.one_of(small_n, st.integers(min_value=501, max_value=10**6).map(str))
     if command in SEQ_COMMANDS:
         entries = draw(
             st.one_of(
@@ -306,9 +312,15 @@ def cli_argv(draw, cache_dir):
     else:
         which = draw(st.sampled_from(("delta", "fibonacci", "lebrun", "involutive", "x")))
         argv.append(which)
+        sizes = {
+            ("delta", "--n-max"): level_n,
+            ("fibonacci", "--n-max"): family_n,
+            ("lebrun", "--n"): family_n,
+            ("involutive", "--n"): family_n,
+        }
         for flag in ("--n-max", "--n"):
             if draw(st.booleans()):
-                argv += [flag, draw(level_n if (which, flag) == ("delta", "--n-max") else small_n)]
+                argv += [flag, draw(sizes.get((which, flag), small_n))]
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(("json", "latex", "text", "x")))]
     if draw(st.booleans()):
@@ -317,10 +329,13 @@ def cli_argv(draw, cache_dir):
 
 
 def test_absurd_level_exits_2_at_once():
-    for argv in (
-        ["catalog", "--n", "5000", "--no-cache"],
-        ["catalog", "--classes", "marked", "--n", "15", "--no-cache"],
-        ["tables", "delta", "--n-max", "5000"],
+    for argv, limit in (
+        (["catalog", "--n", "5000", "--no-cache"], "limit n <= 14"),
+        (["catalog", "--classes", "marked", "--n", "15", "--no-cache"], "limit n <= 14"),
+        (["tables", "delta", "--n-max", "5000"], "limit n <= 14"),
+        (["tables", "lebrun", "--n", "1000000"], "limit n <= 500"),
+        (["tables", "involutive", "--n", "1000000"], "limit n <= 500"),
+        (["tables", "fibonacci", "--n-max", "1000000"], "limit n <= 500"),
     ):
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
@@ -329,7 +344,7 @@ def test_absurd_level_exits_2_at_once():
         assert time.perf_counter() - start < 1, argv
         assert code == 2, argv
         assert out.getvalue() == "", argv
-        assert "limit n <= 14" in err.getvalue(), argv
+        assert limit in err.getvalue(), argv
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from support import src_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -19,9 +20,7 @@ def test_all_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
 def test_demo_exits_zero(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, env=env, cwd=ROOT, timeout=120
+        [sys.executable, str(demo)], capture_output=True, env=src_env(), cwd=ROOT, timeout=120
     )
     assert result.returncode == 0, result.stderr.decode()[-2000:]

@@ -16,7 +16,7 @@ from minitwistor import (
     trace_divisor,
 )
 
-from support import oriented_sequences
+from support import oriented_sequences, restriction_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -73,48 +73,20 @@ def test_l_vector_examples():
     assert sequence_l_vector((1, 2, 1, 2, 1)) == (1, 1, 1, 1, 1, 1)
 
 
-def _restriction_oracle(trace):
-    # independent route: accumulate the two half-cycles of every step
-    # directly, rather than weighting by the assembled multiplicities
-    n = trace.n
-    c = [0] * (n + 2)
-    cbar = [0] * (n + 2)
-    for i, j in trace.steps:
-        for t in range(i, n + 3):
-            c[t - 1] += 1
-        for t in range(1, i):
-            cbar[t - 1] += 1
-        for t in range(1, j + 1):
-            c[t - 1] += 1
-        for t in range(j + 1, n + 3):
-            cbar[t - 1] += 1
-    return tuple(c), tuple(cbar)
-
-
 def test_restriction_examples():
-    seq = (1, 1, 1)
-    div = trace_divisor(reduction_trace(seq))
-    c, cbar = restriction_multiplicities(div, seq)
-    assert c == (1, 2, 2, 2) and cbar == (1, 0, 0, 0)
-
-    seq = (1, 2, 3, 1)
-    div = trace_divisor(reduction_trace(seq))
-    c, cbar = restriction_multiplicities(div, seq)
-    assert c[1:] == (4, 5, 6, 4) and cbar[1:] == (2, 1, 0, 2)
-    assert c[0] == cbar[0] == 3
-
-    seq = (1, 2, 1, 2, 1)
-    div = trace_divisor(reduction_trace(seq))
-    c, cbar = restriction_multiplicities(div, seq)
-    assert c[1:] == (4, 5, 4, 5, 4) and cbar[1:] == (2, 1, 2, 1, 2)
+    for seq, c, cbar in (
+        ((1, 1, 1), (1, 2, 2, 2), (1, 0, 0, 0)),
+        ((1, 2, 3, 1), (3, 4, 5, 6, 4), (3, 2, 1, 0, 2)),
+        ((1, 2, 1, 2, 1), (3, 4, 5, 4, 5, 4), (3, 2, 1, 2, 1, 2)),
+    ):
+        assert restriction_multiplicities(seq) == (c, cbar)
+        assert restriction_oracle(reduction_trace(seq)) == (c, cbar)
 
 
 def test_restriction_matches_step_oracle_exhaustive():
     for n in range(6):
         for seq in oriented_sequences(n):
-            trace = reduction_trace(seq)
-            div = trace_divisor(trace)
-            assert restriction_multiplicities(div, seq) == _restriction_oracle(trace)
+            assert restriction_multiplicities(seq) == restriction_oracle(reduction_trace(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +106,10 @@ def test_structure_suite_exhaustive():
             l = l_vector(div)
             assert sum(l) == 2 * m
             assert l[0] == l[-1] == 1
-            # raises internally if the m +/- k_i identity fails
-            restriction_multiplicities(div, seq)
+            assert restriction_oracle(trace) == (
+                (m,) + tuple(m + k for k in seq),
+                (m,) + tuple(m - k for k in seq),
+            )
 
 
 def test_reversal_equivariance():
