@@ -8,6 +8,9 @@ distinguished divisor whose multiplicity vector drives the explicit
 quadratic model of the minitwistor space, its singularities, the
 discriminant loci of the conic-bundle models, the deformability criterion
 n + r - s > 0, and the enumeration of all such actions up to equivalence.
+The package exports the paths through that record; the decrement simulation
+that tests its closed forms is not exported and is imported from
+:mod:`minitwistor.invariants`.
 """
 
 from .catalog import (
@@ -21,10 +24,7 @@ from .catalog import (
     family_fibonacci,
     family_involutive,
     family_lebrun,
-    fibonacci,
     growth_report,
-    insertions,
-    reversal_canonical,
     u1_classes,
     u1_classes_cached,
     u1_key,
@@ -47,26 +47,17 @@ from .exact import INF, Infinity, format_scalar, parse_scalar
 from .fans import (
     HalfFan,
     fan_from_sequence,
-    is_valid_sequence,
     self_intersections,
     sequence_from_fan,
     validate_sequence,
 )
 from .invariants import (
-    RegularityReport,
     ReductionTrace,
     SequenceAnalysis,
-    TraceDivisor,
     analyze_sequence,
     is_lebrun,
-    l_vector,
-    reduction_steps,
-    reduction_trace,
-    regularity,
     restriction_multiplicities,
-    sequence_l_vector,
     sequence_summary,
-    trace_divisor,
 )
 from .model import (
     BinaryForm,
@@ -103,10 +94,8 @@ __all__ = [
     "MinitwistorModel",
     "QuadraticForm",
     "ReductionTrace",
-    "RegularityReport",
     "SequenceAnalysis",
     "SingularityRecord",
-    "TraceDivisor",
     "analyze_sequence",
     "blow_up_schedule",
     "default_lambdas",
@@ -117,27 +106,17 @@ __all__ = [
     "family_involutive",
     "family_lebrun",
     "fan_from_sequence",
-    "fibonacci",
     "format_scalar",
     "growth_report",
-    "insertions",
     "is_lebrun",
-    "is_valid_sequence",
-    "l_vector",
     "minitwistor_model",
     "parse_scalar",
     "quadratic_split",
-    "reduction_steps",
-    "reduction_trace",
-    "regularity",
     "restriction_multiplicities",
-    "reversal_canonical",
     "rhs_polynomial",
     "self_intersections",
     "sequence_from_fan",
-    "sequence_l_vector",
     "sequence_summary",
-    "trace_divisor",
     "u1_classes",
     "u1_classes_cached",
     "u1_key",

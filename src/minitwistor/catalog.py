@@ -39,28 +39,6 @@ FIBONACCI_TABLE = {
 }
 
 
-def fibonacci(n: int) -> int:
-    """f(1) = f(2) = 1, f(3) = 2, ..."""
-    a, b = 1, 1
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return a
-
-
-def reversal_canonical(seq: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographic minimum of a sequence and its reversal."""
-    return min(seq, seq[::-1])
-
-
-def insertions(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All children of a level-(n-1) sequence at level n, as a multiset:
-    prepend 1, append 1, and the mediant k_i + k_{i+1} at each adjacency."""
-    children = [(1,) + seq, seq + (1,)]
-    for i in range(len(seq) - 1):
-        children.append(seq[: i + 1] + (seq[i] + seq[i + 1],) + seq[i + 1 :])
-    return children
-
-
 #: The largest level the enumeration serves.  Level 14 has C_14 = 2,674,440
 #: sequences; u1_classes(14) takes about 14 s and 961 MB, and each further
 #: level costs about 3.5 times more.
@@ -284,6 +262,25 @@ def family_involutive(n: int) -> list[FamilySequence]:
     return members
 
 
+def _maximal_step(n: int) -> SequenceAnalysis:
+    """The analysis record of family_fibonacci(n), its m checked against the
+    peak f(n + 1); the fibonacci table reads each row's record from here."""
+    if n < 2:
+        raise InvalidParameterError("the maximal-step family needs n >= 2")
+    _check_family(n)
+    fib = [0, 1]
+    for _ in range(n):
+        fib.append(fib[-1] + fib[-2])
+    rec = analyze_sequence(
+        tuple(fib[j] for j in (*range(1, n + 2, 2), *range((n + 1) // 2 * 2, 1, -2)))
+    )
+    if rec.m != fib[n + 1]:
+        raise invariant_violation(
+            "family_fibonacci", rec.k, "maximal-step sequence missed its Fibonacci step count"
+        )
+    return rec
+
+
 def family_fibonacci(n: int) -> tuple[int, ...]:
     """The maximal-step sequence at level n (n >= 2): f(1), f(3), ... up to
     f(n + 1), then the even-indexed Fibonacci numbers down to f(2).  It is
@@ -292,18 +289,7 @@ def family_fibonacci(n: int) -> tuple[int, ...]:
     f(n - 1) and f(n), so f(n + 2) goes between it and f(n).  The sequence is
     unimodal, so its step count m = sum l^+ is its peak f(n + 1), the maximum
     over all level-n sequences."""
-    if n < 2:
-        raise InvalidParameterError("the maximal-step family needs n >= 2")
-    _check_family(n)
-    fib = [0, 1]
-    for _ in range(n):
-        fib.append(fib[-1] + fib[-2])
-    seq = tuple(fib[j] for j in (*range(1, n + 2, 2), *range((n + 1) // 2 * 2, 1, -2)))
-    if analyze_sequence(seq).m != fibonacci(n + 1):
-        raise invariant_violation(
-            "family_fibonacci", seq, "maximal-step sequence missed its Fibonacci step count"
-        )
-    return seq
+    return _maximal_step(n).k
 
 
 @dataclass(frozen=True)

@@ -229,7 +229,7 @@ def _tables_fibonacci(args: argparse.Namespace) -> int:
     cat._check_family(args.n_max)
     rows = []
     for n in range(2, args.n_max + 1):
-        rec = analyze_sequence(cat.family_fibonacci(n))
+        rec = cat._maximal_step(n)
         seq, lvec, m = rec.k, rec.l, rec.m
         if n in cat.FIBONACCI_TABLE and cat.FIBONACCI_TABLE[n] != (seq, lvec, m):
             raise InternalInvariantError(
@@ -244,9 +244,10 @@ def _tables_fibonacci(args: argparse.Namespace) -> int:
         print("$n$ & $k$ & $l$ & $m$ \\\\")
         print("\\hline")
         for row in rows:
-            k = ",".join(str(x) for x in row["k"])
-            l = ",".join(str(x) for x in row["l"])
-            print(f"{row['n']} & $({k})$ & $({l})$ & {row['m']} \\\\")
+            print(
+                f"{row['n']} & $({_format_seq(row['k'])})$ & $({_format_seq(row['l'])})$ "
+                f"& {row['m']} \\\\"
+            )
         print("\\end{tabular}")
     else:
         print("n  k  l  m")

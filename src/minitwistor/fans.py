@@ -93,14 +93,6 @@ def validate_sequence(seq: tuple[int, ...]) -> tuple[Ray, ...]:
     return _ray_chain(seq)
 
 
-def is_valid_sequence(seq: tuple[int, ...]) -> bool:
-    try:
-        validate_sequence(seq)
-    except InvalidSequenceError:
-        return False
-    return True
-
-
 def _ray_chain(seq: tuple[int, ...]) -> tuple[Ray, ...]:
     # v_1 = (1,0), v_2 = (0,1); second coordinates are the weights, first
     # coordinates solve det(v_i, v_{i+1}) = 1.

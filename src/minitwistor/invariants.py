@@ -24,10 +24,14 @@ level, so their number is m.
 
 The decrement simulation itself (:func:`reduction_steps`,
 :func:`reduction_trace`), the divisor assembled from its steps
-(:func:`trace_divisor`) and the run scan of :func:`regularity` stay as the
-test oracle for these closed forms; no library path calls them.  The tests
-check the restriction against the component-by-component accumulation over
-the trace.
+(:func:`trace_divisor`, :func:`l_vector`), the run scan of
+:func:`regularity` and :func:`sequence_l_vector` are the test oracle for
+these closed forms; no library path calls them.  They are not exported from
+the package: import them from this module.  They stay in this module, not
+with the other oracles under ``tests/``, only because the benchmark's span
+tracer (``bench/tracer.py``) wraps them by their ``invariants.*`` names.  The
+tests check the restriction against the component-by-component accumulation
+over the trace.
 
 Indices follow the geometry: weights are indexed 2..n+2 and divisors 1..n+2.
 Python tuples hold the entries in that order, while every index appearing in

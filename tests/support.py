@@ -6,7 +6,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from minitwistor import enumerate_marked, insertions, reversal_canonical
+from minitwistor import InvalidSequenceError, enumerate_marked, validate_sequence
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -17,6 +17,36 @@ def src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+def fibonacci(n):
+    """f(1) = f(2) = 1, f(3) = 2, ..."""
+    a, b = 1, 1
+    for _ in range(n - 1):
+        a, b = b, a + b
+    return a
+
+
+def reversal_canonical(seq):
+    """Lexicographic minimum of a sequence and its reversal."""
+    return min(seq, seq[::-1])
+
+
+def insertions(seq):
+    """All children of a level-(n-1) sequence at level n, as a multiset:
+    prepend 1, append 1, and the mediant k_i + k_{i+1} at each adjacency."""
+    children = [(1,) + seq, seq + (1,)]
+    for i in range(len(seq) - 1):
+        children.append(seq[: i + 1] + (seq[i] + seq[i + 1],) + seq[i + 1 :])
+    return children
+
+
+def is_valid_sequence(seq):
+    try:
+        validate_sequence(seq)
+    except InvalidSequenceError:
+        return False
+    return True
 
 
 def oriented_sequences(n):

@@ -21,25 +21,30 @@ from minitwistor import (
     family_involutive,
     family_lebrun,
     fan_from_sequence,
-    fibonacci,
     growth_report,
-    insertions,
-    l_vector,
     minitwistor_model,
     quadratic_split,
-    reduction_trace,
-    regularity,
     restriction_multiplicities,
-    reversal_canonical,
     rhs_polynomial,
     sequence_from_fan,
-    sequence_l_vector,
-    trace_divisor,
     u1_classes,
     u1_key,
 )
+from minitwistor.invariants import (
+    l_vector,
+    reduction_trace,
+    regularity,
+    sequence_l_vector,
+    trace_divisor,
+)
 
-from support import oriented_sequences, restriction_oracle
+from support import (
+    fibonacci,
+    insertions,
+    oriented_sequences,
+    restriction_oracle,
+    reversal_canonical,
+)
 
 
 def report(cid: int, ok: bool, label: str) -> None:

@@ -11,25 +11,26 @@ from minitwistor import (
     InvalidSequenceError,
     ReductionTrace,
     SequenceAnalysis,
-    TraceDivisor,
     analyze_sequence,
     blow_up_schedule,
     discriminant_deformed,
     discriminant_joyce,
     fan_from_sequence,
-    insertions,
-    l_vector,
     minitwistor_model,
-    reduction_steps,
-    reduction_trace,
-    regularity,
     restriction_multiplicities,
     self_intersections,
     sequence_from_fan,
+)
+from minitwistor.invariants import (
+    TraceDivisor,
+    l_vector,
+    reduction_steps,
+    reduction_trace,
+    regularity,
     trace_divisor,
 )
 
-from support import oriented_sequences, restriction_oracle
+from support import insertions, oriented_sequences, restriction_oracle
 
 
 def assert_matches_oracle(seq):

@@ -22,25 +22,30 @@ from minitwistor import (
     family_fibonacci,
     family_involutive,
     family_lebrun,
-    fibonacci,
     growth_report,
-    insertions,
-    is_valid_sequence,
-    l_vector,
-    regularity,
-    reduction_trace,
-    reversal_canonical,
-    sequence_l_vector,
-    trace_divisor,
     u1_classes,
     u1_classes_cached,
     u1_key,
+)
+from minitwistor.invariants import (
+    l_vector,
+    reduction_trace,
+    regularity,
+    sequence_l_vector,
+    trace_divisor,
 )
 from minitwistor.catalog import _canonical_member, _member_count
 from minitwistor.errors import InvalidParameterError
 from minitwistor.cli import main
 
-from support import greedy_maximal_step, marked_by_insertion
+from support import (
+    fibonacci,
+    greedy_maximal_step,
+    insertions,
+    is_valid_sequence,
+    marked_by_insertion,
+    reversal_canonical,
+)
 
 #: marked sequences up to reversal, frozen from the generator (regression)
 MARKED_COUNTS = {0: 1, 1: 1, 2: 2, 3: 3, 4: 9, 5: 22, 6: 71, 7: 217, 8: 729}
@@ -408,7 +413,7 @@ def test_growth_report_matches_the_enumeration():
 def test_tables_delta_and_fibonacci_enumerate_nothing(count_calls):
     classified = count_calls("catalog", "u1_classes")
     enumerated = count_calls("catalog", "enumerate_marked")
-    inserted = count_calls("catalog", "insertions")
+    analyzed = count_calls("invariants", "analyze_sequence")
     for argv in (["delta", "--n-max", "14"], ["delta", "--n-max", "14", "--format", "json"]):
         start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
@@ -416,7 +421,10 @@ def test_tables_delta_and_fibonacci_enumerate_nothing(count_calls):
         assert time.perf_counter() - start < 1, argv
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["tables", "fibonacci", "--n-max", "16"]) == 0
-    assert classified == enumerated == inserted == []
+    assert classified == enumerated == []
+    # one analysis per row of levels 2..16, read by the table from the record
+    # the family check builds
+    assert len(analyzed) == 15
 
 
 def test_cache_round_trip(tmp_path):

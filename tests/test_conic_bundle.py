@@ -8,8 +8,10 @@ from minitwistor import (
     discriminant_deformed,
     discriminant_joyce,
     fan_from_sequence,
-    regularity,
     self_intersections,
+)
+from minitwistor.invariants import (
+    regularity,
     sequence_l_vector,
 )
 

@@ -10,11 +10,12 @@ from minitwistor import (
     InvalidSequenceError,
     enumerate_marked,
     fan_from_sequence,
-    is_valid_sequence,
     self_intersections,
     sequence_from_fan,
     validate_sequence,
 )
+
+from support import is_valid_sequence
 
 
 def test_fan_from_sequence_examples():

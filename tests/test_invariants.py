@@ -6,13 +6,15 @@ from minitwistor import (
     enumerate_marked,
     fan_from_sequence,
     is_lebrun,
+    restriction_multiplicities,
+    sequence_summary,
+)
+from minitwistor.invariants import (
     l_vector,
     reduction_steps,
     reduction_trace,
     regularity,
-    restriction_multiplicities,
     sequence_l_vector,
-    sequence_summary,
     trace_divisor,
 )
 

@@ -14,16 +14,17 @@ from minitwistor import (
     default_lambdas,
     enumerate_marked,
     family_fibonacci,
-    fibonacci,
     minitwistor_model,
     quadratic_split,
-    reduction_trace,
     rhs_polynomial,
-    sequence_l_vector,
     validate_lambdas,
 )
+from minitwistor.invariants import (
+    reduction_trace,
+    sequence_l_vector,
+)
 
-from support import oriented_sequences
+from support import fibonacci, oriented_sequences
 
 
 def evaluate_form(form: BinaryForm, u1: Fraction, u2: Fraction) -> Fraction:
