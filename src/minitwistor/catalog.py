@@ -4,25 +4,31 @@ named families.
 Level n sequences are generated from the base sequence (1) by mediant
 insertions: prepend 1, append 1, or insert k_i + k_{i+1} at an adjacency.
 Marked actions are identified up to reversal; circle actions are identified
-by the coarser connected-sum relation described at :func:`u1_key`.  The class
-count delta(n) is gated against its known small values and counted in closed
-form by :func:`growth_report`; the three named families (semi-free-containing,
-involution-isotropy, maximal-step) are written down in closed form.
+by the coarser connected-sum relation described at :func:`u1_key`, whose
+classes are the multisets of blocks of entries > 1.  :func:`u1_classes`
+builds them from the blocks, read off the enumerated levels, with every
+listed field in closed form; members are arranged only when asked for.  The
+class count delta(n) is gated against its known small values and counted in
+closed form by :func:`growth_report`; the three named families
+(semi-free-containing, involution-isotropy, maximal-step) are written down in
+closed form.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations, permutations, product
 from math import comb, factorial
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import InternalInvariantError, InvalidParameterError, invariant_violation
-from .invariants import SequenceAnalysis, analyze_sequence
+from .fans import validate_sequence
+from .invariants import SequenceAnalysis, _multiplicities, analyze_sequence
 
 #: Known class counts delta(0..5); the equivalence relation must reproduce
 #: these exactly, and u1_classes fails loudly if it does not.
@@ -40,8 +46,8 @@ FIBONACCI_TABLE = {
 
 
 #: The largest level the enumeration serves.  Level 14 has C_14 = 2,674,440
-#: sequences; u1_classes(14) takes about 14 s and 961 MB, and each further
-#: level costs about 3.5 times more.
+#: sequences; u1_classes(14) takes about 17 s and 706 MB (2-core VM, CPython
+#: 3.11), and each further level costs about 3.5 times more.
 _MAX_LEVEL = 14
 
 
@@ -112,7 +118,9 @@ def u1_key(seq: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     sorted multiset of blocks, each block canonicalized up to reversal.  The
     all-ones sequence has the empty key.  This relation reproduces the known
     counts delta(4) = 7 and delta(5) = 15 (the finer run-length word fails at
-    n = 5), and it is gated on them at runtime.
+    n = 5), and it is gated on them at runtime.  :func:`u1_classes` builds
+    the keys themselves; this function keys a given sequence, and a cache
+    hit checks each class's canonical member with it.
     """
     blocks: list[tuple[int, ...]] = []
     current: list[int] = []
@@ -130,39 +138,51 @@ def u1_key(seq: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class CatalogClass:
-    """One equivalence class of circle actions at a fixed n.
-
-    members holds every marked sequence of the class (closed under reversal);
-    canonical is their lexicographic minimum.  m is class-invariant; l is the
-    l-vector of the canonical member; slack is the canonical member's, which
-    is the maximum over members (slack depends on the marked action, not just
-    the class), and None for the semi-free class.
+    """One equivalence class of circle actions at a fixed n, every field in
+    closed form from its block multiset ``u1_key``.
 
     A sequence is valid exactly when every window (1, B, 1) around a maximal
-    block B of entries > 1 is valid, so every arrangement of the class's
-    blocks with ones between and around them is a member.  The canonical
-    member puts all spare ones in front, so its slack n - sum |B| - #blocks
-    is the maximum.
+    block B of entries > 1 is valid, so the members are the arrangements of
+    the class's blocks with ones between and around them: each distinct
+    order of the blocks, each orientation of a non-palindromic block and each
+    choice of gaps among the n + 1 - sum |B| ones.  canonical is the least
+    member, which puts every spare one in front; m and l are its own, from
+    the differences of its entries, and m is class-invariant.  slack is the
+    canonical member's n - sum |B| - #blocks, which is the maximum over
+    members (slack depends on the marked action, not just the class), and
+    None for the semi-free class.  member_count is the number of members;
+    :attr:`members` lists them, built only when asked.
     """
 
     canonical: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
     u1_key: tuple[tuple[int, ...], ...]
     m: int
     l: tuple[int, ...]
     slack: int | None
+    member_count: int
 
-
-def _build_classes(groups: dict[tuple, list[tuple[int, ...]]]) -> list[CatalogClass]:
-    """One class per key from its group of sequences, closed under reversal
-    here, sorted by canonical member.  A miss and a cache hit both build their
-    classes here, so a hit's derived fields are the miss's."""
-    classes = []
-    for key, reps in groups.items():
-        members = sorted({orient for rep in reps for orient in (rep, rep[::-1])})
-        rec = analyze_sequence(members[0])
-        classes.append(CatalogClass(rec.k, tuple(members), key, rec.m, rec.l, rec.slack))
-    return sorted(classes, key=lambda c: c.canonical)
+    @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """Every member of the class, sorted, by arrangement of its blocks."""
+        key = self.u1_key
+        ones = len(self.canonical) - sum(map(len, key))
+        arrangements = [
+            oriented
+            for order in set(permutations(key))
+            for oriented in product(*[(b,) if b == b[::-1] else (b, b[::-1]) for b in order])
+        ]
+        members = []
+        # the blocks go into len(key) of the ones - 1 gaps between the ones;
+        # cut c puts a block after the c-th one
+        for cuts in combinations(range(1, ones), len(key)):
+            runs = [(1,) * (stop - start) for start, stop in zip((0,) + cuts, cuts + (ones,))]
+            for blocks in arrangements:
+                seq = runs[0]
+                for block, run in zip(blocks, runs[1:]):
+                    seq += block + run
+                members.append(seq)
+        members.sort()
+        return tuple(members)
 
 
 def _member_count(n: int, key: tuple[tuple[int, ...], ...]) -> int:
@@ -172,9 +192,9 @@ def _member_count(n: int, key: tuple[tuple[int, ...], ...]) -> int:
     multiplicity c_B in o_B^{c_B} orientations (o_B = 1 for a palindrome, 2
     otherwise)."""
     count = comb(n - sum(map(len, key)), len(key)) * factorial(len(key))
-    for block, c in Counter(key).items():
-        count = count // factorial(c) * (1 if block == block[::-1] else 2) ** c
-    return count
+    for block in set(key):
+        count //= factorial(key.count(block))
+    return count << sum([block != block[::-1] for block in key])
 
 
 def _canonical_member(n: int, key: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -185,14 +205,46 @@ def _canonical_member(n: int, key: tuple[tuple[int, ...], ...]) -> tuple[int, ..
     return (1,) * (n + 1 - sum(map(len, key)) - len(key)) + sum((b + (1,) for b in key), ())
 
 
+def _build_classes(n: int, keys: list[tuple[tuple[int, ...], ...]]) -> list[CatalogClass]:
+    """One class per block multiset key of weight <= n, sorted by canonical
+    member, with no analysis and no member.  A miss and a cache hit both
+    build their classes here, so a hit's fields are the miss's."""
+    classes = []
+    for key in keys:
+        canonical = _canonical_member(n, key)
+        _, l, m = _multiplicities(canonical)
+        slack = n - sum(map(len, key)) - len(key) if key else None
+        classes.append(CatalogClass(canonical, key, m, l, slack, _member_count(n, key)))
+    classes.sort(key=attrgetter("canonical"))
+    return classes
+
+
+def _block_keys(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every multiset of blocks with sum (|B| + 1) <= n, as a sorted tuple.
+
+    The blocks of weight j are the interiors of the level-j sequences with
+    no 1 inside: valid by construction, and reversal-canonical because the
+    sequences are.  Taking the blocks in order, each any number of times
+    (an unbounded knapsack over the weight), builds each multiset once and
+    sorted."""
+    blocks = sorted(
+        rep[1:-1] for j in range(2, n + 1) for rep in enumerate_marked(j) if rep.count(1) == 2
+    )
+    by_weight: list[list[tuple[tuple[int, ...], ...]]] = [[()]] + [[] for _ in range(n)]
+    for block in blocks:
+        weight = len(block) + 1
+        for total in range(weight, n + 1):
+            by_weight[total] += [key + (block,) for key in by_weight[total - weight]]
+    return [key for keys in by_weight for key in keys]
+
+
 def u1_classes(n: int) -> list[CatalogClass]:
-    """Group the level-n sequences into circle-action classes, sorted by
+    """The level-n circle-action classes, one per block multiset, sorted by
     canonical member; delta(n) is their number."""
+    if n < 0:
+        raise InvalidParameterError("n must be nonnegative")
     _check_level(n)
-    groups: dict[tuple, list[tuple[int, ...]]] = {}
-    for rep in enumerate_marked(n):
-        groups.setdefault(u1_key(rep), []).append(rep)
-    classes = _build_classes(groups)
+    classes = _build_classes(n, _block_keys(n))
     if n < len(KNOWN_DELTA) and len(classes) != KNOWN_DELTA[n]:
         raise InternalInvariantError(
             f"u1_classes: n = {n}: equivalence relation produced delta({n}) = {len(classes)}, "
@@ -345,20 +397,19 @@ class CatalogCache:
     """Per-n JSON cache of the class catalog, by default in
     ~/.cache/minitwistor.
 
-    A version-3 file is ``{"version": 3, "n": n, "classes": [...]}``, one
-    entry per class: its sorted member list, canonical member first.  The
-    other fields of a class derive from its members, so a hit rebuilds them
-    with the builder a miss uses, which validates each canonical member.
-    load then checks once per class that the built canonical is the
-    closed-form canonical member of its key (so it has that key and length
-    n + 1), and that the class has the closed-form member count of its key;
-    and once for the whole set that the counts add up to the Catalan number
-    C_n of level-n sequences.  Keys are distinct, so the total proves that no
-    class is missing.  The other members are counted, not walked: their
-    entries are never validated.
+    A version-4 file is ``{"version": 4, "n": n, "classes": [key, ...]}``,
+    one block multiset key per class.  Every field of a class derives from
+    its key, so a hit builds its classes with the builder a miss uses.  load
+    validates each distinct block B once, as the window (1, B, 1); checks
+    that no key is heavier than n and that the keys are distinct; checks
+    that each built canonical member has its class's key, which holds only
+    when every block is sorted, reversal-canonical and free of ones; and
+    checks that the member counts add up to the Catalan number C_n of
+    level-n sequences, which proves that no class is missing.  Any failure,
+    and any file of another version, is a miss.
     """
 
-    VERSION = 3
+    VERSION = 4
 
     def __init__(self, directory: str | os.PathLike | None = None):
         self.directory = (
@@ -370,25 +421,22 @@ class CatalogCache:
 
     def load(self, n: int) -> list[CatalogClass] | None:
         # a missing, unreadable, truncated, too deeply nested or wrongly
-        # shaped file is a miss, and so is an invalid canonical member
+        # shaped file is a miss, and so is an invalid block
         # (InvalidSequenceError is a ValueError)
         try:
             data = json.loads(self.path(n).read_text(encoding="utf-8"))
             if data["version"] != self.VERSION or data["n"] != n:
                 return None
-            groups = {}
-            for entry in data["classes"]:
-                members = [tuple(member) for member in entry]
-                groups[u1_key(members[0])] = members
-            classes = _build_classes(groups)
-            sound = all(
-                cls.canonical == _canonical_member(n, cls.u1_key)
-                and len(cls.members) == _member_count(n, cls.u1_key)
-                for cls in classes
-            )
+            keys = [tuple(map(tuple, key)) for key in data["classes"]]
+            for block in {block for key in keys for block in key}:
+                validate_sequence((1,) + block + (1,))
         except (OSError, ValueError, LookupError, TypeError, RecursionError):
             return None
-        total = sum(len(cls.members) for cls in classes)
+        if len(set(keys)) != len(keys) or any(sum(map(len, key)) + len(key) > n for key in keys):
+            return None
+        classes = _build_classes(n, keys)
+        sound = all(u1_key(cls.canonical) == cls.u1_key for cls in classes)
+        total = sum(cls.member_count for cls in classes)
         return classes if sound and total == _catalan(n) else None
 
     def store(self, n: int, classes: list[CatalogClass]) -> Path | None:
@@ -397,7 +445,7 @@ class CatalogCache:
             path.parent.mkdir(parents=True, exist_ok=True)
         except OSError:
             return None
-        payload = {"version": self.VERSION, "n": n, "classes": [cls.members for cls in classes]}
+        payload = {"version": self.VERSION, "n": n, "classes": [cls.u1_key for cls in classes]}
         # write beside the target and rename over it, so a reader never sees
         # a partly written file
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")

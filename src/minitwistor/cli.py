@@ -197,11 +197,19 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     cache = None if args.no_cache else cat.CatalogCache(args.cache_dir)
     classes = cat.u1_classes_cached(n, cache)
     if args.format == "json":
-        sys.stdout.write(dumps({"n": n, "delta": len(classes), "classes": classes}))
+        # members are built here, by arrangement, and nowhere on the text path
+        rows = [
+            {
+                "canonical": cls.canonical, "l": cls.l, "m": cls.m, "members": cls.members,
+                "slack": cls.slack, "u1_key": cls.u1_key,
+            }
+            for cls in classes
+        ]
+        sys.stdout.write(dumps({"n": n, "delta": len(classes), "classes": rows}))
     else:
         header = f"n = {n}: delta = {len(classes)} circle-action classes"
         rows = [
-            f"{','.join(map(_DECIMAL.__getitem__, cls.canonical))}  members={len(cls.members)} "
+            f"{','.join(map(_DECIMAL.__getitem__, cls.canonical))}  members={cls.member_count} "
             f"m={cls.m} slack={'-' if cls.slack is None else cls.slack}"
             for cls in classes
         ]

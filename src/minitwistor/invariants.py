@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, mul, sub
+from operator import mul, sub
 
 from .errors import invariant_violation
 from .fans import HalfFan, Ray, sequence_from_fan, validate_sequence
@@ -151,7 +151,7 @@ def analyze_sequence(seq: Weights) -> SequenceAnalysis:
     """Validate a weight sequence once and fill in its invariants from the
     closed forms; a record passes through unchanged.
 
-    The cheap structural identities are checked on the way: sum l = 2m,
+    The cheap structural identities are checked on the way: sum l^+ = m,
     l_1 = l_{n+2} = 1, no index carries both signs and max k <= m <= sum k.
     """
     if isinstance(seq, SequenceAnalysis):
@@ -159,13 +159,10 @@ def analyze_sequence(seq: Weights) -> SequenceAnalysis:
     rays = validate_sequence(seq)
     k = tuple(seq)
     n = len(k) - 1
-    padded = (0,) + k + (0,)
-    diffs = list(map(sub, padded[1:], padded))
+    diffs, l, m = _multiplicities(k)
     plus = tuple([d if d > 0 else 0 for d in diffs])
     minus = tuple([0 if d > 0 else -d for d in diffs])
-    l = tuple(map(add, plus, minus))
-    m = sum(plus)
-    if sum(l) != 2 * m or l[0] != 1 or l[-1] != 1:
+    if sum(plus) != m or l[0] != 1 or l[-1] != 1:
         raise invariant_violation("analyze_sequence", k, "l-vector failed its structural identities")
     if any(map(mul, plus, minus)):
         raise invariant_violation("analyze_sequence", k, "an index carries both signs")
@@ -184,6 +181,15 @@ def analyze_sequence(seq: Weights) -> SequenceAnalysis:
         k=k, rays=rays, n=n, m=m, l_plus=plus, l_minus=minus, l=l, regular=regular,
         semi_free=runs is None, r=r, s=s, slack=slack, deformable=deformable, note=note,
     )
+
+
+def _multiplicities(k: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The differences k_{i+1} - k_i of (0, k, 0), l (their absolute values)
+    and m = sum l^+ = sum l / 2, since the differences sum to 0.  No
+    validation: the caller has validated k or the blocks it is made of."""
+    diffs = tuple(map(sub, k + (0,), (0,) + k))
+    l = tuple(map(abs, diffs))
+    return diffs, l, sum(l) // 2
 
 
 def _end_runs(k: tuple[int, ...]) -> tuple[int, int] | None:

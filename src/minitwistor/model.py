@@ -36,6 +36,13 @@ from .exact import INF, Infinity, Scalar
 from .invariants import Weights, analyze_sequence
 
 
+#: The largest m the model is expanded for: the equation has degree 2m.  On a
+#: 2-core VM (CPython 3.11) the equation of Fibonacci n = 15 (m = 987) takes
+#: about 7 s, and that of the staircase (1, 2, ..., 1000, 1) (m = n = 1000)
+#: about 41 s and 6.5 MB of text; Fibonacci n = 16 (m = 1597) is rejected.
+_MAX_M = 1000
+
+
 def default_lambdas(n: int) -> tuple[Scalar, ...]:
     """The sample conformal invariants (0, 1, 2, ..., n, inf)."""
     return tuple(Fraction(i) for i in range(n + 1)) + (INF,)
@@ -92,8 +99,9 @@ def rhs_polynomial(
     """Expand c * u_1 * prod (u_1 - lambda_i u_{n+2})^{l_i} * u_{n+2} exactly.
 
     The boundary multiplicities must equal 1 (they always do for trace
-    divisors); the result has degree 2m with m = sum(lvec) / 2.  This is the
-    one place that validates lambdas: the CLI passes them on as parsed.
+    divisors); the result has degree 2m with m = sum(lvec) / 2, and m above
+    the model limit fails before any expansion.  This is the one place that
+    validates lambdas: the CLI passes them on as parsed.
 
     The expansion runs in integers: lambda_i = p/q contributes the binomial
     row of (q u_1 - p u_{n+2})^{l_i}, the rows are multiplied together and
@@ -103,6 +111,9 @@ def rhs_polynomial(
     n = len(lvec) - 2
     if lvec[0] != 1 or lvec[-1] != 1:
         raise InvalidParameterError("boundary multiplicities l_1, l_{n+2} must be 1")
+    m = sum(lvec) // 2
+    if m > _MAX_M:
+        raise InvalidParameterError(f"m = {m} is above the model limit m <= {_MAX_M}")
     validate_lambdas(lambdas, n)
     if c_sign not in (1, -1):
         raise InvalidParameterError("c must be +1 or -1")

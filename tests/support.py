@@ -6,7 +6,13 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from minitwistor import InvalidSequenceError, enumerate_marked, validate_sequence
+from minitwistor import (
+    InvalidSequenceError,
+    analyze_sequence,
+    enumerate_marked,
+    u1_key,
+    validate_sequence,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -99,3 +105,20 @@ def greedy_maximal_step(n):
             for i, child in enumerate(insertions(seq)[2:])
         )[1]
     return seq
+
+
+def grouped_classes(n):
+    """The level-n circle-action classes by enumerate-then-group: every
+    level-n sequence keyed by u1_key, each group closed under reversal and
+    analyzed at its least member.  The oracle for u1_classes, which builds
+    the classes from block multisets.  Returns (key, canonical, members, m,
+    l, slack) tuples sorted by canonical member."""
+    groups = {}
+    for rep in enumerate_marked(n):
+        groups.setdefault(u1_key(rep), []).append(rep)
+    classes = []
+    for key, reps in groups.items():
+        members = tuple(sorted({orient for rep in reps for orient in (rep, rep[::-1])}))
+        rec = analyze_sequence(members[0])
+        classes.append((key, rec.k, members, rec.m, rec.l, rec.slack))
+    return sorted(classes, key=lambda cls: cls[1])

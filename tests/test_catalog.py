@@ -41,6 +41,7 @@ from minitwistor.cli import main
 from support import (
     fibonacci,
     greedy_maximal_step,
+    grouped_classes,
     insertions,
     is_valid_sequence,
     marked_by_insertion,
@@ -125,7 +126,9 @@ def test_enumerate_marked_is_the_only_memo(count_calls):
     enumerate_marked.cache_clear()
     calls = count_calls("catalog", "enumerate_marked")
     u1_classes(6)
-    assert calls == [(n,) for n in range(6, -1, -1)]
+    # the blocks are read off levels 2..6, and each level is built once
+    assert set(calls) == {(n,) for n in range(7)}
+    assert enumerate_marked.cache_info().misses == 7
 
 
 def test_level_limit_is_checked_before_any_work(count_calls):
@@ -133,8 +136,10 @@ def test_level_limit_is_checked_before_any_work(count_calls):
     for call, n in ((enumerate_marked, 15), (u1_classes, 15), (growth_report, 5000)):
         with pytest.raises(InvalidParameterError, match="limit n <= 14"):
             call(n)
+    with pytest.raises(InvalidParameterError, match="nonnegative"):
+        u1_classes(-1)
     # the direct call goes through this module's unwrapped binding, so an
-    # empty list means no recursion and no call from the other two
+    # empty list means no recursion and no call from the others
     assert calls == []
 
 
@@ -254,21 +259,32 @@ def test_validity_is_local_to_block_windows():
         assert not is_valid_sequence(assemble(parts, runs))
 
 
-def test_u1_classes_validate_each_class_once(count_calls):
+def test_u1_classes_validate_no_sequence(count_calls):
+    # the blocks are valid by construction and every field is a closed form
+    validated = count_calls("fans", "validate_sequence")
+    analyzed = count_calls("invariants", "analyze_sequence")
     for n in (6, 7, 8):
-        enumerate_marked(n)  # warm the level, which validates nothing
-        calls = count_calls("fans", "validate_sequence")
-        classes = u1_classes(n)
-        assert len(calls) == len(classes)
-        assert sorted(args[0] for args in calls) == sorted(cls.canonical for cls in classes)
-
-
-def test_u1_classes_key_each_sequence_once(count_calls):
-    for n in (6, 7, 8):
-        enumerate_marked(n)
-        calls = count_calls("catalog", "u1_key")
+        enumerate_marked.cache_clear()
         u1_classes(n)
-        assert sorted(args[0] for args in calls) == sorted(enumerate_marked(n))
+    assert validated == analyzed == []
+
+
+def test_u1_classes_key_no_sequence(count_calls):
+    calls = count_calls("catalog", "u1_key")
+    for n in (6, 7, 8):
+        u1_classes(n)
+    assert calls == []
+
+
+def test_u1_classes_match_the_grouping_oracle():
+    for n in range(11):
+        classes = u1_classes(n)
+        fields = [(c.u1_key, c.canonical, c.members, c.m, c.l, c.slack) for c in classes]
+        assert fields == grouped_classes(n), n
+        for cls in classes:
+            # the arrangement lists each member once, as many as counted
+            assert len(set(cls.members)) == len(cls.members) == cls.member_count
+            assert cls.member_count == _member_count(n, cls.u1_key)
 
 
 def test_class_slack_is_max_over_members():
@@ -437,47 +453,67 @@ def test_cache_round_trip(tmp_path):
 
 def version_2_payload(n, classes):
     """A cache file as format 2 wrote it: every field of every class."""
-    return {"version": 2, "n": n, "classes": [vars(cls) for cls in classes]}
+    fields = ("canonical", "members", "u1_key", "m", "l", "slack")
+    return {"version": 2, "n": n, "classes": [{f: getattr(c, f) for f in fields} for c in classes]}
+
+
+def version_3_payload(n, classes):
+    """A cache file as format 3 wrote it: each class's sorted member list."""
+    return {"version": 3, "n": n, "classes": [cls.members for cls in classes]}
 
 
 def test_cache_rejects_corruption(tmp_path):
     cache = CatalogCache(tmp_path)
     classes = u1_classes_cached(3, cache)
     good = json.loads(cache.path(3).read_text(encoding="utf-8"))
-    entries = good["classes"]
+    assert good["classes"] == [[], [[2]], [[2, 3]]]
 
     def with_classes(replaced):
         return json.dumps(dict(good, classes=replaced))
 
-    # unparsable or too deeply nested text, JSON of the wrong shape and a
-    # version-2 file
+    # unparsable or too deeply nested text, JSON of the wrong shape, and the
+    # files formats 2 and 3 wrote
     texts = ["{not json", "[" * 100_000 + "]" * 100_000]
-    texts += ["[1,2]", '"catalog"', "7", json.dumps({"version": 3, "n": 3})]
-    texts += [with_classes(shape) for shape in (5, [5], [[5]], [["xyz"]], [{"members": []}])]
-    texts.append(json.dumps(version_2_payload(3, classes)))
-    # then entries that are not a class: an empty member list, a stray
-    # member, an invalid canonical, a dropped class, a class of level 2, and
-    # a class's members moved into another (the total still C_3)
+    texts += ["[1,2]", '"catalog"', "7", json.dumps({"version": 4, "n": 3})]
+    texts += [
+        with_classes(shape)
+        for shape in (5, [5], [[5]], [[["xyz"]]], [[[[2]]]], [{"blocks": []}], [[[2.0]]])
+    ]
+    texts += [json.dumps(version_2_payload(3, classes)), json.dumps(version_3_payload(3, classes))]
+    # then keys that are not the classes of level 3, each caught by one
+    # check of load alone
     texts += [
         with_classes(replaced)
         for replaced in (
-            [[]] + entries[1:],
-            [entries[0] + [[9, 9, 9, 9]]] + entries[1:],
-            [entries[0], [[1, 1, 4, 1], [1, 4, 1, 1]], entries[2]],
-            entries[:2],
-            [[[1, 1, 1]]] + entries[1:],
-            [entries[0] + entries[2], entries[1]],
+            # an invalid block: (1, 4, 1) is no sequence, and [4] counts as
+            # many members as [2]
+            [[], [[4]], [[2, 3]]],
+            # a valid block in the wrong orientation
+            [[], [[2]], [[3, 2]]],
+            # a repeated key, whose count stands in for the class it replaced
+            [[], [[2]], [[2]]],
+            # a key heavier than n, which counts no member at level 3
+            [[], [[2]], [[2, 3]], [[2], [2]]],
+            # a dropped class
+            [[], [[2]]],
         )
     ]
     for text in texts:
         cache.path(3).write_text(text, encoding="utf-8")
         assert cache.load(3) is None, text
         assert u1_classes_cached(3, cache) == classes == cache.load(3)
-    # a first member that is not the canonical is still the same class: the
-    # builder sorts the members, so storage order is not checked
-    reordered = with_classes([entries[0], entries[1][::-1], entries[2]])
-    cache.path(3).write_text(reordered, encoding="utf-8")
+    # keys in another order are the same classes: the builder sorts them
+    cache.path(3).write_text(with_classes([[[2, 3]], [], [[2]]]), encoding="utf-8")
     assert cache.load(3) == classes
+    # at level 5: unsorted blocks, and a block holding a one in place of the
+    # two blocks it joins
+    classes = u1_classes_cached(5, cache)
+    keys = json.loads(cache.path(5).read_text(encoding="utf-8"))["classes"]
+    for old, new in (([[2], [2, 3]], [[2, 3], [2]]), ([[2], [2]], [[2, 1, 2]])):
+        edited = [new if key == old else key for key in keys]
+        cache.path(5).write_text(json.dumps(dict(good, n=5, classes=edited)), encoding="utf-8")
+        assert cache.load(5) is None, new
+        assert u1_classes_cached(5, cache) == classes == cache.load(5)
 
 
 def run_catalog(argv):
@@ -488,8 +524,8 @@ def run_catalog(argv):
 
 
 def test_edited_cache_file_prints_true_classes(tmp_path):
-    def catalog_after_edit(n, payload):
-        argv = ["--n", str(n), "--cache-dir", str(tmp_path)]
+    def catalog_after_edit(n, payload, fmt="text"):
+        argv = ["--n", str(n), "--format", fmt, "--cache-dir", str(tmp_path)]
         CatalogCache(tmp_path).path(n).write_text(json.dumps(payload), encoding="utf-8")
         assert CatalogCache(tmp_path).load(n) is None
         return run_catalog(argv)
@@ -501,32 +537,26 @@ def test_edited_cache_file_prints_true_classes(tmp_path):
     (edited,) = [entry for entry in payload["classes"] if entry["canonical"] == (1, 2, 1, 2, 1)]
     edited.update(m=99, slack=7, l=[1, 1, 1, 1, 1, 1])
     assert catalog_after_edit(4, payload) == fresh
-    # a class that no analysis accepts: 1,3,1 in place of 1,2,1
+    # format 3 stored member lists, and a hit listed an invalid member that
+    # it counted but never walked
+    fresh = run_catalog(["--n", "5", "--format", "json", "--no-cache"])
+    payload = version_3_payload(5, u1_classes(5))
+    (index,) = [i for i, members in enumerate(payload["classes"]) if (1, 1, 2, 1, 2, 1) in members]
+    members = list(payload["classes"][index])
+    members[members.index((1, 2, 1, 1, 2, 1))] = (2, 1, 1, 1, 1, 2)
+    payload["classes"][index] = members
+    assert catalog_after_edit(5, payload, "json") == fresh
+    # format 4: a block that no window accepts, 3 in place of 2
     fresh = run_catalog(["--n", "2", "--no-cache"])
     assert fresh.endswith("  1,2,1  members=1 m=2 slack=0\n")
-    payload = version_2_payload(2, u1_classes(2))
-    payload["classes"][1] = {
-        "canonical": [1, 3, 1], "members": [[1, 3, 1]], "u1_key": [[3]], "m": 3,
-        "l": [1, 2, 2, 1], "slack": 0,
-    }
+    payload = {"version": 4, "n": 2, "classes": [[], [[3]]]}
     assert catalog_after_edit(2, payload) == fresh
-    payload = {"version": 3, "n": 2, "classes": [[[1, 1, 1]], [[1, 3, 1]]]}
-    assert catalog_after_edit(2, payload) == fresh
-    # a valid member standing in for the canonical 1,1,2,1,2,1, with strays
-    # that keep the member count
-    fresh = run_catalog(["--n", "5", "--no-cache"])
-    assert "  1,1,2,1,2,1  members=3 m=3 slack=1\n" in fresh
-    classes = u1_classes(5)
-    payload = {"version": 3, "n": 5, "classes": [cls.members for cls in classes]}
-    (index,) = [i for i, cls in enumerate(classes) if cls.canonical == (1, 1, 2, 1, 2, 1)]
-    payload["classes"][index] = [[1, 2, 1, 1, 2, 1], [3, 3, 3, 3, 3, 3], [4, 4, 4, 4, 4, 4]]
-    assert catalog_after_edit(5, payload) == fresh
-    # a stray member in a version-3 file, through catalog
-    fresh = run_catalog(["--n", "3", "--no-cache"])
-    assert "  1,1,1,1  members=1 " in fresh
-    payload = {"version": 3, "n": 3, "classes": [cls.members for cls in u1_classes(3)]}
-    payload["classes"][0] = [[1, 1, 1, 1], [9, 9, 9, 9]]
-    assert catalog_after_edit(3, payload) == fresh
+    # and 4 in place of 2 at level 5, in both formats
+    for fmt in ("text", "json"):
+        fresh = run_catalog(["--n", "5", "--format", fmt, "--no-cache"])
+        payload = {"version": 4, "n": 5, "classes": [cls.u1_key for cls in u1_classes(5)]}
+        payload["classes"][payload["classes"].index(((2,),))] = [[4]]
+        assert catalog_after_edit(5, payload, fmt) == fresh
     # a stray "delta" is ignored: a hit counts its classes
     fresh = run_catalog(["--n", "7", "--no-cache"])
     assert fresh.startswith("n = 7: delta = 119 ")
@@ -546,12 +576,12 @@ def test_member_count_closed_form():
     # the cache's load check rests on this count; a wrong formula would only
     # show as silent misses
     for n in range(11):
-        classes = u1_classes(n)
-        for cls in classes:
-            assert _member_count(n, cls.u1_key) == len(cls.members), cls.canonical
+        classes = grouped_classes(n)
+        for key, canonical, members, *_ in classes:
+            assert _member_count(n, key) == len(members), canonical
         # and its completeness check on this total: the Catalan number C_n
         # of level-n sequences, counted in both orientations
-        assert sum(len(cls.members) for cls in classes) == comb(2 * n, n) // (n + 1)
+        assert sum(len(members) for _, _, members, *_ in classes) == comb(2 * n, n) // (n + 1)
 
 
 def test_cache_hit_prints_what_the_miss_printed(tmp_path, count_calls):
@@ -590,7 +620,7 @@ def test_cache_reads_truncated_file_as_miss(tmp_path):
         assert cache.load(4) == classes
 
 
-def test_cache_hit_validates_each_class_once(tmp_path, count_calls):
+def test_cache_hit_validates_each_block_once(tmp_path, count_calls):
     argv = ["--n", "7", "--cache-dir", str(tmp_path)]
     miss = run_catalog(argv)
     calls = {
@@ -600,14 +630,17 @@ def test_cache_hit_validates_each_class_once(tmp_path, count_calls):
             ("catalog", "u1_classes"),
             ("fans", "validate_sequence"),
             ("catalog", "u1_key"),
+            ("invariants", "analyze_sequence"),
         )
     }
     assert run_catalog(argv) == miss
-    assert calls["enumerate_marked"] == calls["u1_classes"] == []
-    # one canonical member per class; a walk over all 429 members would
-    # key or validate every one of them
-    assert len(calls["validate_sequence"]) == 119
-    assert len(calls["u1_key"]) <= 2 * 119
+    assert calls["enumerate_marked"] == calls["u1_classes"] == calls["analyze_sequence"] == []
+    # one window per distinct block, one key per class; no member is built
+    blocks = {block for cls in u1_classes(7) for block in cls.u1_key}
+    assert sorted(args[0] for args in calls["validate_sequence"]) == sorted(
+        (1,) + block + (1,) for block in blocks
+    )
+    assert len(calls["u1_key"]) == 119
 
 
 def test_cache_file_schema(tmp_path):
@@ -615,8 +648,8 @@ def test_cache_file_schema(tmp_path):
     u1_classes_cached(3, cache)
     payload = json.loads(cache.path(3).read_text(encoding="utf-8"))
     assert set(payload) == {"version", "n", "classes"}
-    assert payload["version"] == CatalogCache.VERSION == 3 and payload["n"] == 3
-    # each class is its sorted member list, canonical member first
-    assert payload["classes"] == [
-        [[1, 1, 1, 1]], [[1, 1, 2, 1], [1, 2, 1, 1]], [[1, 2, 3, 1], [1, 3, 2, 1]],
-    ]
+    assert payload["version"] == CatalogCache.VERSION == 4 and payload["n"] == 3
+    # each class is its block multiset key, in canonical order
+    assert payload["classes"] == [[], [[2]], [[2, 3]]]
+    payload = json.loads(CatalogCache(tmp_path).store(5, u1_classes(5)).read_text(encoding="utf-8"))
+    assert payload["classes"] == [list(map(list, cls.u1_key)) for cls in u1_classes(5)]

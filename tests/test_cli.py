@@ -347,6 +347,28 @@ def test_absurd_level_exits_2_at_once():
         assert limit in err.getvalue(), argv
 
 
+def test_large_m_exits_2_before_the_model(count_calls):
+    from minitwistor.catalog import family_fibonacci
+    from minitwistor.model import _MAX_M
+
+    multiplied = count_calls("model", "_multiply")
+    # the staircase 1, 2, ..., L + 1, 1 has m = L + 1; Fibonacci n = 30 has
+    # m = 1,346,269, whose model would never finish
+    staircase = [*range(1, _MAX_M + 2), 1]
+    for seq in (staircase, family_fibonacci(30)):
+        for command in ("equation", "analyze"):
+            argv = [command, "--seq", ",".join(map(str, seq))]
+            out, err = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert time.perf_counter() - start < 1, argv[:2]
+            assert code == 2, argv[:2]
+            assert out.getvalue() == "", argv[:2]
+            assert f"model limit m <= {_MAX_M}" in err.getvalue(), argv[:2]
+    assert multiplied == []
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_fuzzed_argv_keeps_the_exit_code_contract(tmp_path_factory, data):

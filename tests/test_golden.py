@@ -49,6 +49,10 @@ GOLDEN = (
     ("catalog --classes marked --n 10 --no-cache", "b702af4a7bafe683c5e4947d22d5bdec4a2ba8f6edd23ab0e77b62af9f80aa1a"),
     ("catalog --n 9 --no-cache", "3b57c3c66ce097aa5fb65098cd5458fb0ea8645de2578205a9ac36340cffffcb"),
     ("tables fibonacci --n-max 16", "237293370cc8d72365af8c91d02769814950289155da5958c89c7e79e08efb18"),
+    # recorded from the enumerate-then-group classifier, one analysis per
+    # class; the block-multiset builder must reproduce every byte
+    ("catalog --n 10 --no-cache", "598d171668f6181f49fcc113b1438e3e76d0dd77027200b7da1980632e84bd87"),
+    ("catalog --n 10 --format json --no-cache", "9f07d2eebd62e39b06809afb407a7e9fdad1b68dcab34e9dbc17ab4c872ca6c0"),
 )
 
 

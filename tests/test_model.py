@@ -23,6 +23,7 @@ from minitwistor.invariants import (
     reduction_trace,
     sequence_l_vector,
 )
+from minitwistor.model import _MAX_M
 
 from support import fibonacci, oriented_sequences
 
@@ -187,6 +188,17 @@ def test_rhs_rejects_bad_inputs():
         rhs_polynomial((2, 0, 1), default_lambdas(1))
     with pytest.raises(InvalidParameterError):
         rhs_polynomial((1, 0, 1), default_lambdas(1), c_sign=2)
+
+
+def test_rhs_limit_is_checked_before_the_expansion(count_calls):
+    # (1, 2m - 2, 1) expands one binomial row, so the edge is cheap to admit
+    assert rhs_polynomial((1, 2 * _MAX_M - 2, 1), default_lambdas(1)).degree == 2 * _MAX_M
+    multiplied = count_calls("model", "_multiply")
+    with pytest.raises(InvalidParameterError, match=f"model limit m <= {_MAX_M}"):
+        rhs_polynomial((1, 2 * _MAX_M, 1), default_lambdas(1))
+    assert multiplied == []
+    # Fibonacci n = 15 (m = 987) is admitted, n = 16 (m = 1597) is not
+    assert fibonacci(16) <= _MAX_M < fibonacci(17)
 
 
 # ---------------------------------------------------------------------------
