@@ -37,12 +37,12 @@ print(f"  key of (1,2,1,3,2,1): {u1_key((1, 2, 1, 3, 2, 1))}")
 print("\nLeBrun family at n = 6 (subgroups of the staircase torus action):")
 for member in family_lebrun(6):
     tag = "semi-free" if member.semi_free else f"slack {member.slack}"
-    print(f"  {member.seq}  ({tag}, deformable = {member.deformable})")
+    print(f"  {member.k}  ({tag}, deformable = {member.deformable})")
 
 print("\ninvolutive family at n = 7 (isotropy only +/-1; no real singularities):")
 for member in family_involutive(7):
     tag = "semi-free" if member.semi_free else f"slack {member.slack}"
-    print(f"  {member.seq}  ({tag})")
+    print(f"  {member.k}  ({tag})")
 
 print("\nmaximal-step family (m grows like Fibonacci):")
 for n in range(2, 9):

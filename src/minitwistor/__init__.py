@@ -17,7 +17,6 @@ from .catalog import (
     CatalogCache,
     CatalogClass,
     DeltaRow,
-    FamilySequence,
     FIBONACCI_TABLE,
     KNOWN_DELTA,
     enumerate_marked,
@@ -81,7 +80,6 @@ __all__ = [
     "CatalogClass",
     "DeltaRow",
     "DiscriminantReport",
-    "FamilySequence",
     "FIBONACCI_TABLE",
     "HalfFan",
     "INF",

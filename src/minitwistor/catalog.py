@@ -73,18 +73,21 @@ def enumerate_marked(n: int) -> tuple[tuple[int, ...], ...]:
     the levels costs each level once.
 
     Each sequence is generated once, from one parent: itself with its
-    leftmost removable entry deleted.  In a sequence p of length L, entry 0
-    is removable when p[1] == 1 (or p == (1,)), an interior entry j when it
-    is the mediant p[j-1] + p[j+1], and otherwise the last entry is.  Let r
-    be the leftmost removable position of p.  The prepended child (1,) + p
-    has its leftmost removable entry at 0.  A mediant inserted at adjacency
-    i is removable and leaves positions before i - 1 as they were in p,
-    while the entry to its left, now beside a larger neighbor, cannot be
-    removable; so the mediant is the child's leftmost removable entry
-    exactly when i <= r + 1.  The appended 1 is leftmost exactly when
-    r == L - 1 > 0.  So every level-n sequence comes from exactly one
-    oriented level-(n-1) parent, and of a child and its reversal (each
-    generated once) only the lesser is kept.  No set is needed.
+    leftmost removable entry deleted.  In a sequence p, entry 0 is removable
+    when p[1] == 1 (or p == (1,)), and an interior entry j when it is the
+    mediant p[j-1] + p[j+1].  Every valid p with p[1] != 1 has an interior
+    mediant (by induction on the length: were its last 1 its only removable
+    entry, p[:-1] would have the same p[1], and the interior mediant of
+    p[:-1] is interior in p), so the last entry is never the leftmost
+    removable one, and no child comes from appending a 1.  Let r be the
+    leftmost removable position of p.  The prepended child (1,) + p has its
+    leftmost removable entry at 0.  A mediant inserted at adjacency i is
+    removable and leaves positions before i - 1 as they were in p, while the
+    entry to its left, now beside a larger neighbor, cannot be removable; so
+    the mediant is the child's leftmost removable entry exactly when
+    i <= r + 1.  So every level-n sequence comes from exactly one oriented
+    level-(n-1) parent, and of a child and its reversal (each generated
+    once) only the lesser is kept.  No set is needed.
     """
     if n < 0:
         raise InvalidParameterError("n must be nonnegative")
@@ -102,8 +105,6 @@ def enumerate_marked(n: int) -> tuple[tuple[int, ...], ...]:
                     break
             children = [(1,) + p]
             children += [p[:i] + (p[i - 1] + p[i],) + p[i:] for i in range(1, min(r + 1, last) + 1)]
-            if r == last > 0:
-                children.append(p + (1,))
             level += [child for child in children if child <= child[::-1]]
     level.sort()
     return tuple(level)
@@ -253,28 +254,13 @@ def u1_classes(n: int) -> list[CatalogClass]:
     return classes
 
 
-@dataclass(frozen=True)
-class FamilySequence:
-    """A named-family member with its deformability annotation."""
-
-    seq: tuple[int, ...]
-    semi_free: bool
-    slack: int | None
-    deformable: bool
-
-
-def _annotate(rec: SequenceAnalysis) -> FamilySequence:
-    return FamilySequence(
-        seq=rec.k, semi_free=rec.semi_free, slack=rec.slack, deformable=rec.deformable
-    )
-
-
-def family_lebrun(n: int) -> list[FamilySequence]:
-    """The floor(n/2) + 2 inequivalent subgroup sequences of the torus action
-    whose metrics are LeBrun's, for n >= 3: the all-ones sequence, the full
-    staircase (1, 2, ..., n, 1), the short staircase (1, 2, ..., n-1, 1, 1)
-    (the only one with positive slack, namely 1), and the two-sided
-    staircases glued at a step k for ceil(n/2) <= k <= n - 2."""
+def family_lebrun(n: int) -> list[SequenceAnalysis]:
+    """The analysis records of the floor(n/2) + 2 inequivalent subgroup
+    sequences of the torus action whose metrics are LeBrun's, for n >= 3:
+    the all-ones sequence, the full staircase (1, 2, ..., n, 1), the short
+    staircase (1, 2, ..., n-1, 1, 1) (the only one with positive slack,
+    namely 1), and the two-sided staircases glued at a step k for
+    ceil(n/2) <= k <= n - 2."""
     if n < 3:
         raise InvalidParameterError("the LeBrun family needs n >= 3")
     _check_family(n)
@@ -285,7 +271,7 @@ def family_lebrun(n: int) -> list[FamilySequence]:
     ]
     for k in range((n + 1) // 2, n - 1):
         seqs.append(tuple(range(1, k + 1)) + (1,) + tuple(range(n - k, 0, -1)))
-    members = [_annotate(analyze_sequence(seq)) for seq in seqs]
+    members = [analyze_sequence(seq) for seq in seqs]
     if len(members) != n // 2 + 2:
         raise InternalInvariantError(
             f"family_lebrun: n = {n}: LeBrun family size is not floor(n/2) + 2"
@@ -293,11 +279,11 @@ def family_lebrun(n: int) -> list[FamilySequence]:
     return members
 
 
-def family_involutive(n: int) -> list[FamilySequence]:
-    """One representative per circle-action class with isotropy contained in
-    {1, -1}: c blocks (2) padded with ones, 0 <= c <= floor(n/2).  The slack
-    is n - 2c (undefined for the semi-free c = 0), and none of these has a
-    real singularity: every l_i is 0 or 1."""
+def family_involutive(n: int) -> list[SequenceAnalysis]:
+    """The analysis records of one representative per circle-action class
+    with isotropy contained in {1, -1}: c blocks (2) padded with ones,
+    0 <= c <= floor(n/2).  The slack is n - 2c (undefined for the semi-free
+    c = 0), and none of these has a real singularity: every l_i is 0 or 1."""
     if n < 1:
         raise InvalidParameterError("the involutive family needs n >= 1")
     _check_family(n)
@@ -310,13 +296,14 @@ def family_involutive(n: int) -> list[FamilySequence]:
             raise invariant_violation(
                 "family_involutive", rec.k, "involutive sequence acquired a real singularity"
             )
-        members.append(_annotate(rec))
+        members.append(rec)
     return members
 
 
 def _maximal_step(n: int) -> SequenceAnalysis:
     """The analysis record of family_fibonacci(n), its m checked against the
-    peak f(n + 1); the fibonacci table reads each row's record from here."""
+    peak f(n + 1) and, for n <= 7, the row checked against FIBONACCI_TABLE;
+    the fibonacci table reads each row's record from here."""
     if n < 2:
         raise InvalidParameterError("the maximal-step family needs n >= 2")
     _check_family(n)
@@ -330,6 +317,8 @@ def _maximal_step(n: int) -> SequenceAnalysis:
         raise invariant_violation(
             "family_fibonacci", rec.k, "maximal-step sequence missed its Fibonacci step count"
         )
+    if n in FIBONACCI_TABLE and FIBONACCI_TABLE[n] != (rec.k, rec.l, rec.m):
+        raise invariant_violation("family_fibonacci", rec.k, "row differs from the stored table")
     return rec
 
 

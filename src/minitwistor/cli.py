@@ -1,10 +1,20 @@
 """Command-line front end.
 
-Subcommands: analyze, equation, catalog, tables, deform-check, schedule.
-Exit codes: 0 on success, 2 for invalid input (the message names the violated
-rule), 3 when a provably-true identity fails (always a bug).  Output bytes are
-deterministic for fixed inputs: keys are sorted, rationals print as "p/q",
-infinity as "inf", and nothing environment-dependent is emitted.
+Subcommands, with the formats each renders (text is the default):
+
+- analyze, equation: --seq, --lambda, --c; json, latex, text
+- deform-check, schedule: --seq; json, text
+- catalog: --n, --classes, --cache-dir, --no-cache; json, text
+- tables delta: --n-max (default 5); json, text
+- tables fibonacci: --n-max (default 7); json, latex, text
+- tables lebrun, tables involutive: --n (required); json, text
+
+An option or format a subcommand or table kind does not take exits 2, like
+any other invalid input.  Exit codes: 0 on success, 2 for invalid input (the
+message names the violated rule), 3 when a provably-true identity fails
+(always a bug).  Output bytes are deterministic for fixed inputs: keys are
+sorted, rationals print as "p/q", infinity as "inf", and nothing
+environment-dependent is emitted.
 """
 
 from __future__ import annotations
@@ -50,12 +60,8 @@ def _parse_lambdas(text: str | None):
     return tuple(parse_scalar(token) for token in text.split(","))
 
 
-def _parse_c(text: str) -> int:
-    if text in ("+1", "1"):
-        return 1
-    if text == "-1":
-        return -1
-    raise InvalidParameterError("c must be +1 or -1")
+#: The --c choices and the sign each stands for.
+_C_SIGN = {"+1": 1, "1": 1, "-1": -1}
 
 
 class _Decimal(dict):
@@ -83,11 +89,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     seq = _parse_sequence(args.seq)
     rec = analyze_sequence(seq)
     lambdas = _parse_lambdas(args.lambdas)
-    c_sign = _parse_c(args.c)
+    c_sign = _C_SIGN[args.c]
     model = minitwistor_model(rec, lambdas, c_sign)
     joyce = discriminant_joyce(rec)
     deformed = None if rec.semi_free else discriminant_deformed(rec)
-    schedule = blow_up_schedule(rec)
+    schedule = None if args.format == "latex" else blow_up_schedule(rec)
 
     if args.format == "json":
         cycle, conj_cycle = restriction_multiplicities(rec)
@@ -138,7 +144,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_equation(args: argparse.Namespace) -> int:
     seq = _parse_sequence(args.seq)
     lambdas = _parse_lambdas(args.lambdas)
-    model = minitwistor_model(seq, lambdas, _parse_c(args.c))
+    model = minitwistor_model(seq, lambdas, _C_SIGN[args.c])
     if args.format == "json":
         sys.stdout.write(dumps(model))
     elif args.format == "latex":
@@ -238,13 +244,7 @@ def _tables_fibonacci(args: argparse.Namespace) -> int:
     rows = []
     for n in range(2, args.n_max + 1):
         rec = cat._maximal_step(n)
-        seq, lvec, m = rec.k, rec.l, rec.m
-        if n in cat.FIBONACCI_TABLE and cat.FIBONACCI_TABLE[n] != (seq, lvec, m):
-            raise InternalInvariantError(
-                f"tables fibonacci: ({_format_seq(seq)}): regenerated maximal-step row "
-                f"at n = {n} differs from the stored table"
-            )
-        rows.append({"n": n, "k": seq, "l": lvec, "m": m})
+        rows.append({"n": n, "k": rec.k, "l": rec.l, "m": rec.m})
     if args.format == "json":
         sys.stdout.write(dumps({"rows": rows}))
     elif args.format == "latex":
@@ -267,34 +267,52 @@ def _tables_fibonacci(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tables_family(args: argparse.Namespace, which: str) -> int:
-    members = cat.family_lebrun(args.n) if which == "lebrun" else cat.family_involutive(args.n)
-    payload = {"n": args.n, "count": len(members), "family": which, "members": members}
+def _tables_family(args: argparse.Namespace) -> int:
+    family = cat.family_lebrun if args.which == "lebrun" else cat.family_involutive
+    # one dict per member serves both formats; json sorts its keys
+    members = [
+        {"deformable": r.deformable, "semi_free": r.semi_free, "seq": r.k, "slack": r.slack}
+        for r in family(args.n)
+    ]
     if args.format == "json":
+        payload = {"n": args.n, "count": len(members), "family": args.which, "members": members}
         sys.stdout.write(dumps(payload))
     else:
-        print(f"{which} family at n = {args.n}: {len(members)} sequences")
+        print(f"{args.which} family at n = {args.n}: {len(members)} sequences")
         for member in members:
-            if member.semi_free:
-                print(f"  ({_format_seq(member.seq)})  semi-free, deformable = {member.deformable}")
-            else:
-                print(
-                    f"  ({_format_seq(member.seq)})  slack = {member.slack}, "
-                    f"deformable = {member.deformable}"
-                )
+            tag = "semi-free" if member["semi_free"] else f"slack = {member['slack']}"
+            print(f"  ({_format_seq(member['seq'])})  {tag}, deformable = {member['deformable']}")
     return 0
-
-
-def _cmd_tables(args: argparse.Namespace) -> int:
-    if args.which == "delta":
-        return _tables_delta(args)
-    if args.which == "fibonacci":
-        return _tables_fibonacci(args)
-    return _tables_family(args, args.which)
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
+
+#: The sequence subcommands: name, handler, whether it takes --lambda and
+#: --c, the formats it renders, and its help line.
+_SEQ_COMMANDS = (
+    ("analyze", _cmd_analyze, True, ("json", "latex", "text"),
+     "full report: invariants, model, discriminants, blow-up schedule"),
+    ("equation", _cmd_equation, True, ("json", "latex", "text"), "just the model equation"),
+    ("deform-check", _cmd_deform_check, False, ("json", "text"),
+     "deformability slack and the deformed discriminant report"),
+    ("schedule", _cmd_schedule, False, ("json", "text"), "blow-up schedule ledger"),
+)
+
+#: The tables kinds: handler, the one size option it takes, that option's
+#: default (None: required), and the formats it renders.
+_TABLES = {
+    "delta": (_tables_delta, "--n-max", 5, ("json", "text")),
+    "fibonacci": (_tables_fibonacci, "--n-max", 7, ("json", "latex", "text")),
+    "lebrun": (_tables_family, "--n", None, ("json", "text")),
+    "involutive": (_tables_family, "--n", None, ("json", "text")),
+}
+
+_TABLES_HELP = "; ".join(
+    f"{kind}: {flag} ({'required' if default is None else f'default {default}'}), "
+    + "/".join(formats)
+    for kind, (_, flag, default, formats) in _TABLES.items()
+) + ". The fibonacci rows n <= 7 are checked against their stored table."
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,40 +325,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("json", "latex", "text"), default="text")
-    seqarg = argparse.ArgumentParser(add_help=False)
-    seqarg.add_argument("--seq", required=True, help="weights k_2,...,k_{n+2}, e.g. 1,2,5,3,1")
-    modelargs = argparse.ArgumentParser(add_help=False)
-    modelargs.add_argument(
-        "--lambda",
-        dest="lambdas",
-        default=None,
-        help='conformal invariants "0,l2,...,inf" (default 0,1,2,...,inf)',
-    )
-    modelargs.add_argument("--c", default="+1", help="sign of the equation, +1 or -1")
-
-    p = sub.add_parser(
-        "analyze",
-        parents=[seqarg, modelargs, fmt],
-        help="full report: invariants, model, discriminants, blow-up schedule",
-    )
-    p.set_defaults(handler=_cmd_analyze)
-
-    p = sub.add_parser(
-        "equation", parents=[seqarg, modelargs, fmt], help="just the model equation"
-    )
-    p.set_defaults(handler=_cmd_equation)
-
-    p = sub.add_parser(
-        "deform-check",
-        parents=[seqarg, fmt],
-        help="deformability slack and the deformed discriminant report",
-    )
-    p.set_defaults(handler=_cmd_deform_check)
-
-    p = sub.add_parser("schedule", parents=[seqarg, fmt], help="blow-up schedule ledger")
-    p.set_defaults(handler=_cmd_schedule)
+    for name, handler, takes_model, formats, text in _SEQ_COMMANDS:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--seq", required=True, help="weights k_2,...,k_{n+2}, e.g. 1,2,5,3,1")
+        if takes_model:
+            p.add_argument(
+                "--lambda",
+                dest="lambdas",
+                default=None,
+                help='conformal invariants "0,l2,...,inf" (default 0,1,2,...,inf)',
+            )
+            p.add_argument(
+                "--c", choices=tuple(_C_SIGN), default="+1", help="sign of the equation"
+            )
+        p.add_argument("--format", choices=formats, default="text")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("catalog", help="enumerate sequences or circle-action classes")
     p.add_argument("--n", type=int, required=True)
@@ -354,13 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "tables",
-        parents=[fmt],
-        help="delta(n) counts or a named family; fibonacci is diffed against its stored rows",
+        help="delta(n) counts, the maximal-step rows or a named family",
+        description=_TABLES_HELP,
     )
-    p.add_argument("which", choices=("delta", "fibonacci", "lebrun", "involutive"))
+    p.add_argument("which", choices=tuple(_TABLES))
+    p.add_argument("--format", choices=("json", "latex", "text"), default="text")
     p.add_argument("--n-max", type=int, default=None, help="last n for delta/fibonacci")
     p.add_argument("--n", type=int, default=None, help="level for lebrun/involutive")
-    p.set_defaults(handler=_cmd_tables)
 
     return parser
 
@@ -369,11 +368,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "tables":
-        if args.which in ("delta", "fibonacci"):
-            if args.n_max is None:
-                args.n_max = 5 if args.which == "delta" else 7
-        elif args.n is None:
-            parser.error(f"tables {args.which} requires --n")
+        args.handler, flag, default, formats = _TABLES[args.which]
+        sizes = {"--n-max": args.n_max, "--n": args.n}
+        size = sizes.pop(flag)
+        ((stray, value),) = sizes.items()
+        if value is not None:
+            parser.error(f"tables {args.which} takes {flag}, not {stray}")
+        if args.format not in formats:
+            parser.error(f"tables {args.which} renders {'/'.join(formats)}, not {args.format}")
+        if size is None and default is None:
+            parser.error(f"tables {args.which} requires {flag}")
+        # each handler reads the attribute of its own size option
+        args.n_max = args.n = default if size is None else size
     try:
         code = args.handler(args)
         sys.stdout.flush()

@@ -142,7 +142,7 @@ def test_criterion_07_deformability():
         members = family_lebrun(n)
         positive = [f for f in members if not f.semi_free and f.slack > 0]
         ok = ok and len(positive) == 1
-        ok = ok and positive[0].seq == tuple(range(1, n)) + (1, 1)
+        ok = ok and positive[0].k == tuple(range(1, n)) + (1, 1)
         ok = ok and positive[0].slack == 1
     for n in range(1, 11):
         for c, member in enumerate(family_involutive(n)):

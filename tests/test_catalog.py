@@ -35,7 +35,7 @@ from minitwistor.invariants import (
     trace_divisor,
 )
 from minitwistor.catalog import _canonical_member, _member_count
-from minitwistor.errors import InvalidParameterError
+from minitwistor.errors import InternalInvariantError, InvalidParameterError
 from minitwistor.cli import main
 
 from support import (
@@ -45,6 +45,7 @@ from support import (
     insertions,
     is_valid_sequence,
     marked_by_insertion,
+    oriented_sequences,
     reversal_canonical,
 )
 
@@ -90,6 +91,17 @@ def test_enumerate_small_levels():
 def test_enumerate_counts_regression():
     for n, count in MARKED_COUNTS.items():
         assert len(enumerate_marked(n)) == count
+
+
+def test_every_sequence_without_a_leading_pair_of_ones_has_an_interior_mediant():
+    # so an appended 1 is never a sequence's leftmost removable entry, and
+    # enumerate_marked generates no appended child
+    for n in range(2, 12):
+        for seq in oriented_sequences(n):
+            if seq[1] != 1:
+                assert any(
+                    seq[j] == seq[j - 1] + seq[j + 1] for j in range(1, len(seq) - 1)
+                ), seq
 
 
 def test_level4_collapses_nine_to_seven():
@@ -321,7 +333,7 @@ def test_end_insertion_injectivity():
 
 def test_family_lebrun_counts_and_members():
     members = family_lebrun(4)
-    assert [f.seq for f in members] == [
+    assert [f.k for f in members] == [
         (1, 1, 1, 1, 1), (1, 2, 3, 4, 1), (1, 2, 3, 1, 1), (1, 2, 1, 2, 1),
     ]
     assert len(family_lebrun(3)) == 3
@@ -335,7 +347,7 @@ def test_family_lebrun_slack_pattern():
         deformable = [f for f in members if not f.semi_free and f.slack > 0]
         assert len(deformable) == 1
         short_staircase = tuple(range(1, n)) + (1, 1)
-        assert deformable[0].seq == short_staircase
+        assert deformable[0].k == short_staircase
         assert deformable[0].slack == 1
 
 
@@ -349,12 +361,12 @@ def test_family_lebrun_marks_of_one_fan():
             reversal_canonical(sequence_from_fan(fan, t)) for t in range(1, n + 3)
         }
         for member in family_lebrun(n):
-            assert reversal_canonical(member.seq) in marks
+            assert reversal_canonical(member.k) in marks
 
 
 def test_family_involutive():
     members = family_involutive(7)
-    assert [f.seq for f in members] == [
+    assert [f.k for f in members] == [
         (1, 1, 1, 1, 1, 1, 1, 1),
         (1, 2, 1, 1, 1, 1, 1, 1),
         (1, 2, 1, 2, 1, 1, 1, 1),
@@ -370,7 +382,7 @@ def test_family_involutive():
 def test_family_involutive_multiplicity_free():
     for n in range(1, 9):
         for member in family_involutive(n):
-            assert all(l <= 1 for l in sequence_l_vector(member.seq))
+            assert all(l <= 1 for l in sequence_l_vector(member.k))
 
 
 def test_family_fibonacci_table():
@@ -378,6 +390,18 @@ def test_family_fibonacci_table():
         assert family_fibonacci(n) == seq
         assert sequence_l_vector(seq) == lvec
         assert reduction_trace(seq).m == m == fibonacci(n + 1)
+
+
+def test_family_fibonacci_rows_are_checked_against_the_stored_table(monkeypatch):
+    seq, lvec, m = FIBONACCI_TABLE[4]
+    monkeypatch.setitem(FIBONACCI_TABLE, 4, (seq, lvec, m + 1))
+    with pytest.raises(InternalInvariantError, match=r"family_fibonacci: \(1,2,5,3,1\): row"):
+        family_fibonacci(4)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["tables", "fibonacci"]) == 3
+    assert out.getvalue() == ""
+    assert family_fibonacci(3) == FIBONACCI_TABLE[3][0]
 
 
 def test_family_fibonacci_matches_the_greedy_walk():

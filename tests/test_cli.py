@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minitwistor.cli import main
+from minitwistor.cli import _TABLES, build_parser, main
 
 from support import oriented_sequences, src_env
 
@@ -185,6 +186,102 @@ def test_tables_reject_empty_ranges(capsys):
     assert main(["tables", "fibonacci", "--n-max", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--n-max >= 2" in captured.err
+
+
+def test_internal_invariant_violation_exits_3(monkeypatch):
+    import minitwistor.invariants
+
+    multiplicities = minitwistor.invariants._multiplicities
+
+    def wrong_m(k):
+        diffs, l, m = multiplicities(k)
+        return diffs, l, m + 1
+
+    monkeypatch.setattr(minitwistor.invariants, "_multiplicities", wrong_m)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze", "--seq", "1,2,1"])
+    assert code == 3
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("internal invariant violation: analyze_sequence: (1,2,1):")
+    assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+
+
+def test_analyze_latex_builds_no_schedule(count_calls):
+    calls = count_calls("conic_bundle", "blow_up_schedule")
+    argv = ["analyze", "--seq", "1,2,5,3,1"]
+    assert run_main(argv + ["--format", "latex"])[0] == 0
+    assert calls == []
+    for fmt in ("text", "json"):
+        assert run_main(argv + ["--format", fmt])[0] == 0
+    assert len(calls) == 2
+
+
+def run_or_reject(argv):
+    """Exit code and stdout of an in-process CLI call, parser errors included."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+#: One small valid request per subcommand and tables kind, without --format.
+SMALL_REQUESTS = {
+    "analyze": ["analyze", "--seq", "1,2,1"],
+    "equation": ["equation", "--seq", "1,2,1"],
+    "deform-check": ["deform-check", "--seq", "1,2,1"],
+    "schedule": ["schedule", "--seq", "1,2,1"],
+    "catalog": ["catalog", "--n", "3", "--no-cache"],
+    "delta": ["tables", "delta", "--n-max", "3"],
+    "fibonacci": ["tables", "fibonacci", "--n-max", "3"],
+    "lebrun": ["tables", "lebrun", "--n", "4"],
+    "involutive": ["tables", "involutive", "--n", "3"],
+}
+
+
+def accepted_formats():
+    """The --format choices of each subcommand, as the parser declares them,
+    and of each tables kind, as the tables table declares them."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    formats = {
+        name: next(a.choices for a in subparser._actions if a.dest == "format")
+        for name, subparser in sub.choices.items()
+    }
+    kinds = {kind: entry[3] for kind, entry in _TABLES.items()}
+    assert set(formats.pop("tables")) == {fmt for fmts in kinds.values() for fmt in fmts}
+    return {**formats, **kinds}
+
+
+def test_every_accepted_format_changes_the_output():
+    formats = accepted_formats()
+    assert formats.keys() == SMALL_REQUESTS.keys()
+    for name, argv in SMALL_REQUESTS.items():
+        outputs = []
+        for fmt in formats[name]:
+            code, out = run_or_reject(argv + ["--format", fmt])
+            assert code == 0 and out, (name, fmt)
+            outputs.append(out)
+        assert len(set(outputs)) == len(outputs), name
+    for command in ("analyze", "equation"):
+        argv = SMALL_REQUESTS[command]
+        signs = {c: run_or_reject(argv + ["--c", c]) for c in ("+1", "1", "-1")}
+        assert signs["+1"] == signs["1"] != signs["-1"], command
+
+
+def test_options_a_command_does_not_take_exit_2():
+    for argv in (
+        ["tables", "delta", "--n", "3"],
+        ["tables", "fibonacci", "--n", "3"],
+        ["tables", "lebrun", "--n-max", "3"],
+        ["tables", "delta", "--format", "latex"],
+        ["schedule", "--seq", "1,2,1", "--format", "latex"],
+        ["deform-check", "--seq", "1,2,1", "--format", "latex"],
+    ):
+        assert run_or_reject(argv) == (2, ""), argv
 
 
 def test_equation_past_the_int_to_str_limit():

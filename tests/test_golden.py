@@ -41,6 +41,7 @@ GOLDEN = (
     ("tables delta --n-max 6 --format text", "5a2c7f87d5cfb01310cd91d985263d201ac1566f8cf418206433010a6b7c04cd"),
     ("tables delta --n-max 6 --format json", "83611b22dbc4c9b53cbbd9c42aca5bb8d6b95e5a32fd3b6b285dd82647760857"),
     ("tables fibonacci --n-max 9 --format json", "ec02bff9cb7a28d87d33d7f415f7c18c6f35e7a7db8843e7cb706da23b85a0c2"),
+    ("tables fibonacci --n-max 9 --format latex", "384f51498d28ceaefcf250a68631e7f21024ffbf6ee200247724ba5d998300b0"),
     ("tables involutive --n 7", "d04df832f98b26988579af909ca362553fd8b1afc5ed7e0c5fae9297eb35eea2"),
     ("tables lebrun --n 7 --format json", "f1c0a2a45fee39914ae04d6088df499f05fe46f9afe912e5cba6972f6df024ba"),
     # recorded from the set-based enumerator and the line-by-line listings;

@@ -28,7 +28,7 @@ def test_star_import_is_the_public_surface():
     exec("from minitwistor import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(minitwistor.__all__)
-    assert len(minitwistor.__all__) == len(set(minitwistor.__all__)) == 48
+    assert len(minitwistor.__all__) == len(set(minitwistor.__all__)) == 47
 
 
 def test_oracles_and_helpers_are_not_exported():
