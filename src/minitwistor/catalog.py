@@ -23,12 +23,12 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial
-from operator import attrgetter
+from operator import attrgetter, sub
 from pathlib import Path
 
 from .errors import InternalInvariantError, InvalidParameterError, invariant_violation
 from .fans import validate_sequence
-from .invariants import SequenceAnalysis, _multiplicities, analyze_sequence
+from .invariants import SequenceAnalysis, analyze_sequence
 
 #: Known class counts delta(0..5); the equivalence relation must reproduce
 #: these exactly, and u1_classes fails loudly if it does not.
@@ -46,8 +46,8 @@ FIBONACCI_TABLE = {
 
 
 #: The largest level the enumeration serves.  Level 14 has C_14 = 2,674,440
-#: sequences; u1_classes(14) takes about 17 s and 706 MB (2-core VM, CPython
-#: 3.11), and each further level costs about 3.5 times more.
+#: sequences; u1_classes(14) takes about 11 s and 705 MB of peak RSS (2-core
+#: VM, CPython 3.11), and each further level costs about 3.5 times more.
 _MAX_LEVEL = 14
 
 
@@ -80,14 +80,20 @@ def enumerate_marked(n: int) -> tuple[tuple[int, ...], ...]:
     entry, p[:-1] would have the same p[1], and the interior mediant of
     p[:-1] is interior in p), so the last entry is never the leftmost
     removable one, and no child comes from appending a 1.  Let r be the
-    leftmost removable position of p.  The prepended child (1,) + p has its
-    leftmost removable entry at 0.  A mediant inserted at adjacency i is
-    removable and leaves positions before i - 1 as they were in p, while the
-    entry to its left, now beside a larger neighbor, cannot be removable; so
-    the mediant is the child's leftmost removable entry exactly when
-    i <= r + 1.  So every level-n sequence comes from exactly one oriented
-    level-(n-1) parent, and of a child and its reversal (each generated
-    once) only the lesser is kept.  No set is needed.
+    leftmost removable position of p: 0 when p == (1,) or p[1] == 1, else
+    the first interior j with p[j] == p[j-1] + p[j+1].  The prepended child
+    (1,) + p has its leftmost removable entry at 0.  A mediant inserted at
+    adjacency i is removable and leaves positions before i - 1 as they were
+    in p, while the entry to its left, now beside a larger neighbor, cannot
+    be removable; so the mediant is the child's leftmost removable entry
+    exactly when i <= r + 1.  The adjacencies of p are 1..last, last =
+    len(p) - 1, so the scan for r sets the end of the mediant range directly:
+    stop = min(r + 1, last) + 1, which is 1 for p == (1,), 2 when p[1] == 1
+    and j + 2 at the first interior mediant j, and each child with
+    1 <= i < stop is built.  So every level-n sequence comes from exactly one
+    oriented level-(n-1) parent, and of a child and its reversal (each
+    generated once) only the lesser is kept, as soon as it is built.  No set
+    is needed.
     """
     if n < 0:
         raise InvalidParameterError("n must be nonnegative")
@@ -95,17 +101,27 @@ def enumerate_marked(n: int) -> tuple[tuple[int, ...], ...]:
     if n == 0:
         return ((1,),)
     level: list[tuple[int, ...]] = []
+    keep = level.append
     for rep in enumerate_marked(n - 1):
         for p in (rep,) if rep == rep[::-1] else (rep, rep[::-1]):
             last = len(p) - 1
-            r = 0 if last == 0 or p[1] == 1 else last
-            for j in range(1, r):
-                if p[j] == p[j - 1] + p[j + 1]:
-                    r = j
-                    break
-            children = [(1,) + p]
-            children += [p[:i] + (p[i - 1] + p[i],) + p[i:] for i in range(1, min(r + 1, last) + 1)]
-            level += [child for child in children if child <= child[::-1]]
+            if last == 0:
+                stop = 1
+            elif p[1] == 1:
+                stop = 2
+            else:
+                stop = last + 1
+                for j in range(1, last):
+                    if p[j] == p[j - 1] + p[j + 1]:
+                        stop = j + 2
+                        break
+            child = (1,) + p
+            if child <= child[::-1]:
+                keep(child)
+            for i in range(1, stop):
+                child = p[:i] + (p[i - 1] + p[i],) + p[i:]
+                if child <= child[::-1]:
+                    keep(child)
     level.sort()
     return tuple(level)
 
@@ -186,36 +202,43 @@ class CatalogClass:
         return tuple(members)
 
 
-def _member_count(n: int, key: tuple[tuple[int, ...], ...]) -> int:
-    """Number of members of the level-n class with block multiset key, in
-    closed form: the b blocks go into b of the ones - 1 gaps between the
-    ones = n + 1 - sum |B| ones, in b!/prod c_B! orders, and each block B of
-    multiplicity c_B in o_B^{c_B} orientations (o_B = 1 for a palindrome, 2
-    otherwise)."""
-    count = comb(n - sum(map(len, key)), len(key)) * factorial(len(key))
-    for block in set(key):
-        count //= factorial(key.count(block))
-    return count << sum([block != block[::-1] for block in key])
-
-
-def _canonical_member(n: int, key: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Lexicographically least member of the level-n class with block
-    multiset key, in closed form: every spare one in front, then each block
-    followed by a one, in key order.  A block followed by a one is never a
-    prefix of another, so key order is the least order of the blocks."""
-    return (1,) * (n + 1 - sum(map(len, key)) - len(key)) + sum((b + (1,) for b in key), ())
-
-
 def _build_classes(n: int, keys: list[tuple[tuple[int, ...], ...]]) -> list[CatalogClass]:
     """One class per block multiset key of weight <= n, sorted by canonical
-    member, with no analysis and no member.  A miss and a cache hit both
-    build their classes here, so a hit's fields are the miss's."""
+    member, every field in closed form from the key's blocks B_1 <= ... <=
+    B_t, with no analysis and no member.  A miss and a cache hit both build
+    their classes here, so a hit's fields are the miss's.
+
+    With size = sum |B| and lead = n + 1 - size - t spare ones:
+
+    - canonical = (1,) * lead + B_1 + (1,) + ... + B_t + (1,), the least
+      member: a block followed by a one is never a prefix of another, so key
+      order is the least order of the blocks;
+    - l = (1, 0, ..., 0, frag(B_1), ..., frag(B_t), 1), with lead - 1 zeros
+      and frag(B) = (B[0] - 1, |B[1] - B[0]|, ..., B[-1] - 1), the absolute
+      differences across the window (1, B, 1); these are the absolute
+      differences of (0, canonical, 0), taken in one pass;
+    - m = sum l / 2 = 1 + sum_B (m_B - 1), where m_B = 1 + sum frag(B) / 2 is
+      the step count of the window (1, B, 1);
+    - slack = n - size - t, and None for the empty key;
+    - member_count = C(n - size, t) * t! / prod c_B! * 2^f: the blocks go
+      into t of the n - size gaps between the n + 1 - size ones, in
+      t! / prod c_B! orders (c_B the multiplicity of B), and each of the f
+      blocks that is not a palindrome in either of its two orientations.
+    """
     classes = []
     for key in keys:
-        canonical = _canonical_member(n, key)
-        _, l, m = _multiplicities(canonical)
-        slack = n - sum(map(len, key)) - len(key) if key else None
-        classes.append(CatalogClass(canonical, key, m, l, slack, _member_count(n, key)))
+        size = sum(map(len, key))
+        t = len(key)
+        lead = n + 1 - size - t
+        canonical = (1,) * lead + sum([block + (1,) for block in key], ())
+        l = tuple(map(abs, map(sub, canonical + (0,), (0,) + canonical)))
+        count = comb(n - size, t) * factorial(t) << sum([block != block[::-1] for block in key])
+        if len(set(key)) < t:
+            # a repeated block: divide out the orders of its copies
+            for block in set(key):
+                count //= factorial(key.count(block))
+        slack = n - size - t if key else None
+        classes.append(CatalogClass(canonical, key, sum(l) // 2, l, slack, count))
     classes.sort(key=attrgetter("canonical"))
     return classes
 

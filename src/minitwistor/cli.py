@@ -315,9 +315,17 @@ _TABLES_HELP = "; ".join(
 ) + ". The fibonacci rows n <= 7 are checked against their stored table."
 
 
+def _formatter(prog: str) -> argparse.HelpFormatter:
+    # argparse wraps at the terminal's width (COLUMNS) by default; 78 is that
+    # default when there is no terminal, and fixing it keeps the help and
+    # usage bytes the same everywhere
+    return argparse.HelpFormatter(prog, width=78)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minitwistor",
+        formatter_class=_formatter,
         description=(
             "Exact-arithmetic invariants, projective models and catalogs for "
             "circle subgroups of torus actions on connected sums of CP^2."
@@ -326,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, handler, takes_model, formats, text in _SEQ_COMMANDS:
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, formatter_class=_formatter)
         p.add_argument("--seq", required=True, help="weights k_2,...,k_{n+2}, e.g. 1,2,5,3,1")
         if takes_model:
             p.add_argument(
@@ -341,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default="text")
         p.set_defaults(handler=handler)
 
-    p = sub.add_parser("catalog", help="enumerate sequences or circle-action classes")
+    p = sub.add_parser(
+        "catalog", help="enumerate sequences or circle-action classes", formatter_class=_formatter
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--classes", choices=("marked", "u1"), default="u1")
     p.add_argument("--format", choices=("json", "text"), default="text")
@@ -355,6 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tables",
         help="delta(n) counts, the maximal-step rows or a named family",
         description=_TABLES_HELP,
+        formatter_class=_formatter,
     )
     p.add_argument("which", choices=tuple(_TABLES))
     p.add_argument("--format", choices=("json", "latex", "text"), default="text")

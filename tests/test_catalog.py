@@ -28,13 +28,13 @@ from minitwistor import (
     u1_key,
 )
 from minitwistor.invariants import (
+    _multiplicities,
     l_vector,
     reduction_trace,
     regularity,
     sequence_l_vector,
     trace_divisor,
 )
-from minitwistor.catalog import _canonical_member, _member_count
 from minitwistor.errors import InternalInvariantError, InvalidParameterError
 from minitwistor.cli import main
 
@@ -226,8 +226,11 @@ def test_class_structure():
                     slacks.append(regularity(member).slack)
             assert cls.l == l_vector(trace_divisor(reduction_trace(cls.canonical)))
             assert cls.slack == (max(slacks) if slacks else None)
-            # every spare one sits in the canonical member's leading run
-            assert cls.canonical == min(cls.members) == _canonical_member(n, cls.u1_key)
+            # every spare one sits in the canonical member's leading run,
+            # then each block is followed by a one, in key order
+            lead = n + 1 - sum(map(len, cls.u1_key)) - len(cls.u1_key)
+            tail = tuple(entry for block in cls.u1_key for entry in block + (1,))
+            assert cls.canonical == min(cls.members) == (1,) * lead + tail
             if cls.u1_key:
                 assert cls.slack == n - sum(map(len, cls.u1_key)) - len(cls.u1_key)
 
@@ -296,7 +299,6 @@ def test_u1_classes_match_the_grouping_oracle():
         for cls in classes:
             # the arrangement lists each member once, as many as counted
             assert len(set(cls.members)) == len(cls.members) == cls.member_count
-            assert cls.member_count == _member_count(n, cls.u1_key)
 
 
 def test_class_slack_is_max_over_members():
@@ -598,14 +600,20 @@ def test_edited_cache_file_prints_true_classes(tmp_path):
 
 def test_member_count_closed_form():
     # the cache's load check rests on this count; a wrong formula would only
-    # show as silent misses
-    for n in range(11):
-        classes = grouped_classes(n)
-        for key, canonical, members, *_ in classes:
-            assert _member_count(n, key) == len(members), canonical
+    # show as silent misses.  The grouping oracle reaches n <= 10; through
+    # n = 12 each class's m and l are also checked against its canonical
+    # member's own differences
+    for n in range(13):
+        classes = u1_classes(n)
+        if n <= 10:
+            grouped = {key: len(members) for key, _, members, *_ in grouped_classes(n)}
+            assert {cls.u1_key: cls.member_count for cls in classes} == grouped
+        for cls in classes:
+            _, l, m = _multiplicities(cls.canonical)
+            assert (cls.m, cls.l) == (m, l), cls.canonical
         # and its completeness check on this total: the Catalan number C_n
         # of level-n sequences, counted in both orientations
-        assert sum(len(members) for _, _, members, *_ in classes) == comb(2 * n, n) // (n + 1)
+        assert sum(cls.member_count for cls in classes) == comb(2 * n, n) // (n + 1)
 
 
 def test_cache_hit_prints_what_the_miss_printed(tmp_path, count_calls):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -282,6 +283,38 @@ def test_options_a_command_does_not_take_exit_2():
         ["deform-check", "--seq", "1,2,1", "--format", "latex"],
     ):
         assert run_or_reject(argv) == (2, ""), argv
+
+
+#: sha256 of the help text of the top level and of each subcommand, and of
+#: two usage errors on stderr, recorded with COLUMNS=80 before the width was
+#: fixed
+HELP_DIGESTS = {
+    ("--help",): "35ba70ef9818eac9e4fd7ffd0ea848cac45016c0aad2451d0abdc5e034b58b74",
+    ("analyze", "--help"): "d80c37f6a784dc23ccb9e135d94c05d8b7983024e8e46b7498041d9186ba7f28",
+    ("equation", "--help"): "5e1472958c6e3917f6c35c590cc9576cca9973b50ea7ad820bb1963e1743a9f9",
+    ("deform-check", "--help"): "3525ab271542df97dfd5185f3a071091e7062b5a78f132b57790b52b3cbe81ba",
+    ("schedule", "--help"): "cf9c70eed85c3fec7450e91848bd058d03535bace817f4ea27a22e5de569d15b",
+    ("catalog", "--help"): "e7c45715f510ebb785e53a9448547613dd97513a6b66e281f9840c5591100a60",
+    ("tables", "--help"): "4bc8c8b2fe5a218887fd97bdafe31e1c9b91ad572922c2d7ccedc37ff5a4d6cd",
+    ("catalog", "--n", "x"): "2101b38c4f0b9dda6aaad8706be4d2f74f2c86a8bc2191ec648d1041c66f91de",
+    ("tables", "delta", "--n", "3"): "968e16f7b7b0888984747b1c8d651f68b64a9f10b8e3e4adafe02f9f1c1a17ff",
+}
+
+
+def test_help_and_usage_bytes_do_not_depend_on_the_terminal(monkeypatch):
+    for columns in ("30", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv, digest in HELP_DIGESTS.items():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+            text = out.getvalue() if "--help" in argv else err.getvalue()
+            assert (code, hashlib.sha256(text.encode()).hexdigest()) == (
+                0 if "--help" in argv else 2, digest
+            ), (columns, argv)
 
 
 def test_equation_past_the_int_to_str_limit():
