@@ -15,6 +15,11 @@ message names the violated rule), 3 when a provably-true identity fails
 (always a bug).  Output bytes are deterministic for fixed inputs: keys are
 sorted, rationals print as "p/q", infinity as "inf", and nothing
 environment-dependent is emitted.
+
+main is the one writer of stdout.  Each handler returns the whole output of
+its request as one string and writes nothing; main writes that string in one
+call once the handler has returned, so a request that exits 2 or 3 leaves
+stdout empty.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ def _format_seq(seq: tuple[int, ...]) -> str:
 # subcommand handlers
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> str:
     seq = _parse_sequence(args.seq)
     rec = analyze_sequence(seq)
     lambdas = _parse_lambdas(args.lambdas)
@@ -111,50 +116,47 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 "restrictions": {"cycle": cycle, "conjugate_cycle": conj_cycle},
             }
         )
-        sys.stdout.write(dumps(report))
-    elif args.format == "latex":
-        print(equation_latex(model))
-        print()
-        print(discriminant_latex(joyce))
+        return dumps(report)
+    if args.format == "latex":
+        blocks = [equation_latex(model), discriminant_latex(joyce)]
         if deformed is not None:
-            print()
-            print(discriminant_latex(deformed))
+            blocks.append(discriminant_latex(deformed))
+        return "\n\n".join(blocks) + "\n"
+    if rec.semi_free:
+        regularity = f"semi-free ({rec.note}); deformable = {rec.deformable}"
     else:
-        print(f"sequence k = ({_format_seq(seq)}), n = {rec.n}")
-        print(f"m = {rec.m}")
-        print("trace: " + " ".join(f"({i},{j})" for i, j in rec.trace.steps))
-        print(f"l+ = {rec.l_plus}")
-        print(f"l- = {rec.l_minus}")
-        print(f"l  = {rec.l}")
-        if rec.semi_free:
-            print(f"regularity: semi-free ({rec.note}); deformable = {rec.deformable}")
-        else:
-            print(
-                f"regularity: r = {rec.r}, s = {rec.s}, slack = {rec.slack}, "
-                f"deformable = {rec.deformable}"
-            )
-        print(model_text(model))
-        print(discriminant_text(joyce))
-        if deformed is not None:
-            print(discriminant_text(deformed))
-        print(schedule_text(schedule))
-    return 0
+        regularity = (
+            f"r = {rec.r}, s = {rec.s}, slack = {rec.slack}, deformable = {rec.deformable}"
+        )
+    lines = [
+        f"sequence k = ({_format_seq(seq)}), n = {rec.n}",
+        f"m = {rec.m}",
+        "trace: " + " ".join(f"({i},{j})" for i, j in rec.trace.steps),
+        f"l+ = {rec.l_plus}",
+        f"l- = {rec.l_minus}",
+        f"l  = {rec.l}",
+        f"regularity: {regularity}",
+        model_text(model),
+        discriminant_text(joyce),
+    ]
+    if deformed is not None:
+        lines.append(discriminant_text(deformed))
+    lines.append(schedule_text(schedule))
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_equation(args: argparse.Namespace) -> int:
+def _cmd_equation(args: argparse.Namespace) -> str:
     seq = _parse_sequence(args.seq)
     lambdas = _parse_lambdas(args.lambdas)
     model = minitwistor_model(seq, lambdas, _C_SIGN[args.c])
     if args.format == "json":
-        sys.stdout.write(dumps(model))
-    elif args.format == "latex":
-        print(equation_latex(model))
-    else:
-        print(equation_text(model))
-    return 0
+        return dumps(model)
+    if args.format == "latex":
+        return equation_latex(model) + "\n"
+    return equation_text(model) + "\n"
 
 
-def _cmd_deform_check(args: argparse.Namespace) -> int:
+def _cmd_deform_check(args: argparse.Namespace) -> str:
     seq = _parse_sequence(args.seq)
     rec = analyze_sequence(seq)
     deformed = None if rec.semi_free else discriminant_deformed(rec)
@@ -164,42 +166,31 @@ def _cmd_deform_check(args: argparse.Namespace) -> int:
             report["note"] = rec.note
         else:
             report.update(r=rec.r, s=rec.s, slack=rec.slack, discriminant_deformed=deformed)
-        sys.stdout.write(dumps(report))
-    elif rec.semi_free:
-        print(f"semi-free: handled by LeBrun theory (deformable = {rec.deformable})")
-    else:
-        print(
-            f"r = {rec.r}, s = {rec.s}, slack = {rec.slack}, deformable = {rec.deformable}"
-        )
-        print(discriminant_text(deformed))
-    return 0
+        return dumps(report)
+    if rec.semi_free:
+        return f"semi-free: handled by LeBrun theory (deformable = {rec.deformable})\n"
+    return (
+        f"r = {rec.r}, s = {rec.s}, slack = {rec.slack}, deformable = {rec.deformable}\n"
+        f"{discriminant_text(deformed)}\n"
+    )
 
 
-def _cmd_schedule(args: argparse.Namespace) -> int:
-    seq = _parse_sequence(args.seq)
-    schedule = blow_up_schedule(seq)
-    if args.format == "json":
-        sys.stdout.write(dumps(schedule))
-    else:
-        print(schedule_text(schedule))
-    return 0
+def _cmd_schedule(args: argparse.Namespace) -> str:
+    schedule = blow_up_schedule(_parse_sequence(args.seq))
+    return dumps(schedule) if args.format == "json" else schedule_text(schedule) + "\n"
 
 
-def _cmd_catalog(args: argparse.Namespace) -> int:
+def _cmd_catalog(args: argparse.Namespace) -> str:
     n = args.n
-    if n < 0:
-        raise InvalidParameterError("n must be nonnegative")
     if args.classes == "marked":
         reps = cat.enumerate_marked(n)
         if args.format == "json":
-            sys.stdout.write(dumps({"n": n, "count": len(reps), "classes": reps}))
-        else:
-            # one write, rows formatted inline: a per-row call costs as much
-            # as the lookups it would wrap
-            header = f"n = {n}: {len(reps)} marked sequences up to reversal"
-            rows = [",".join(map(_DECIMAL.__getitem__, rep)) for rep in reps]
-            sys.stdout.write("\n  ".join([header, *rows]) + "\n")
-        return 0
+            return dumps({"n": n, "count": len(reps), "classes": reps})
+        # rows formatted inline: a per-row call costs as much as the lookups
+        # it would wrap
+        header = f"n = {n}: {len(reps)} marked sequences up to reversal"
+        rows = [",".join(map(_DECIMAL.__getitem__, rep)) for rep in reps]
+        return "\n  ".join([header, *rows]) + "\n"
     cache = None if args.no_cache else cat.CatalogCache(args.cache_dir)
     classes = cat.u1_classes_cached(n, cache)
     if args.format == "json":
@@ -211,33 +202,30 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             }
             for cls in classes
         ]
-        sys.stdout.write(dumps({"n": n, "delta": len(classes), "classes": rows}))
-    else:
-        header = f"n = {n}: delta = {len(classes)} circle-action classes"
-        rows = [
-            f"{','.join(map(_DECIMAL.__getitem__, cls.canonical))}  members={cls.member_count} "
-            f"m={cls.m} slack={'-' if cls.slack is None else cls.slack}"
-            for cls in classes
-        ]
-        sys.stdout.write("\n  ".join([header, *rows]) + "\n")
-    return 0
+        return dumps({"n": n, "delta": len(classes), "classes": rows})
+    header = f"n = {n}: delta = {len(classes)} circle-action classes"
+    rows = [
+        f"{','.join(map(_DECIMAL.__getitem__, cls.canonical))}  members={cls.member_count} "
+        f"m={cls.m} slack={'-' if cls.slack is None else cls.slack}"
+        for cls in classes
+    ]
+    return "\n  ".join([header, *rows]) + "\n"
 
 
-def _tables_delta(args: argparse.Namespace) -> int:
+def _tables_delta(args: argparse.Namespace) -> str:
     if args.n_max < 0:
         raise InvalidParameterError("tables delta needs --n-max >= 0")
     rows = cat.growth_report(args.n_max)
     if args.format == "json":
-        sys.stdout.write(dumps({"rows": rows}))
-    else:
-        print("n  delta  marked  delta/n^2")
-        for row in rows:
-            ratio = "-" if row.ratio is None else format_scalar(row.ratio)
-            print(f"{row.n}  {row.delta}  {row.marked_classes}  {ratio}")
-    return 0
+        return dumps({"rows": rows})
+    lines = ["n  delta  marked  delta/n^2"]
+    for row in rows:
+        ratio = "-" if row.ratio is None else format_scalar(row.ratio)
+        lines.append(f"{row.n}  {row.delta}  {row.marked_classes}  {ratio}")
+    return "\n".join(lines) + "\n"
 
 
-def _tables_fibonacci(args: argparse.Namespace) -> int:
+def _tables_fibonacci(args: argparse.Namespace) -> str:
     if args.n_max < 2:
         raise InvalidParameterError("tables fibonacci needs --n-max >= 2")
     cat._check_family(args.n_max)
@@ -246,28 +234,25 @@ def _tables_fibonacci(args: argparse.Namespace) -> int:
         rec = cat._maximal_step(n)
         rows.append({"n": n, "k": rec.k, "l": rec.l, "m": rec.m})
     if args.format == "json":
-        sys.stdout.write(dumps({"rows": rows}))
-    elif args.format == "latex":
-        print("\\begin{tabular}{llll}")
-        print("$n$ & $k$ & $l$ & $m$ \\\\")
-        print("\\hline")
-        for row in rows:
-            print(
-                f"{row['n']} & $({_format_seq(row['k'])})$ & $({_format_seq(row['l'])})$ "
-                f"& {row['m']} \\\\"
-            )
-        print("\\end{tabular}")
+        return dumps({"rows": rows})
+    if args.format == "latex":
+        lines = ["\\begin{tabular}{llll}", "$n$ & $k$ & $l$ & $m$ \\\\", "\\hline"]
+        lines += [
+            f"{row['n']} & $({_format_seq(row['k'])})$ & $({_format_seq(row['l'])})$ "
+            f"& {row['m']} \\\\"
+            for row in rows
+        ]
+        lines.append("\\end{tabular}")
     else:
-        print("n  k  l  m")
-        for row in rows:
-            print(
-                f"{row['n']}  ({_format_seq(row['k'])})  "
-                f"({_format_seq(row['l'])})  {row['m']}"
-            )
-    return 0
+        lines = ["n  k  l  m"]
+        lines += [
+            f"{row['n']}  ({_format_seq(row['k'])})  ({_format_seq(row['l'])})  {row['m']}"
+            for row in rows
+        ]
+    return "\n".join(lines) + "\n"
 
 
-def _tables_family(args: argparse.Namespace) -> int:
+def _tables_family(args: argparse.Namespace) -> str:
     family = cat.family_lebrun if args.which == "lebrun" else cat.family_involutive
     # one dict per member serves both formats; json sorts its keys
     members = [
@@ -276,13 +261,13 @@ def _tables_family(args: argparse.Namespace) -> int:
     ]
     if args.format == "json":
         payload = {"n": args.n, "count": len(members), "family": args.which, "members": members}
-        sys.stdout.write(dumps(payload))
-    else:
-        print(f"{args.which} family at n = {args.n}: {len(members)} sequences")
-        for member in members:
-            tag = "semi-free" if member["semi_free"] else f"slack = {member['slack']}"
-            print(f"  ({_format_seq(member['seq'])})  {tag}, deformable = {member['deformable']}")
-    return 0
+        return dumps(payload)
+    lines = [f"{args.which} family at n = {args.n}: {len(members)} sequences"]
+    for member in members:
+        tag = "semi-free" if member["semi_free"] else f"slack = {member['slack']}"
+        seq = _format_seq(member["seq"])
+        lines.append(f"  ({seq})  {tag}, deformable = {member['deformable']}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +377,9 @@ def main(argv: list[str] | None = None) -> int:
         # each handler reads the attribute of its own size option
         args.n_max = args.n = default if size is None else size
     try:
-        code = args.handler(args)
+        sys.stdout.write(args.handler(args))
         sys.stdout.flush()
-        return code
+        return 0
     except BrokenPipeError:
         # the reader closed stdout (e.g. `| head`); point fd 1 at devnull so
         # the interpreter's final flush does not fail a second time

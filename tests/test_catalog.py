@@ -540,6 +540,17 @@ def test_cache_rejects_corruption(tmp_path):
         cache.path(5).write_text(json.dumps(dict(good, n=5, classes=edited)), encoding="utf-8")
         assert cache.load(5) is None, new
         assert u1_classes_cached(5, cache) == classes == cache.load(5)
+    # a file for a negative level is a miss, and the level is rejected
+    # before any file is read, by the library and by the CLI
+    negative = json.dumps({"version": 4, "n": -1, "classes": []})
+    cache.path(-1).write_text(negative, encoding="utf-8")
+    assert cache.load(-1) is None
+    with pytest.raises(InvalidParameterError, match="^n must be nonnegative$"):
+        u1_classes_cached(-1, cache)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["catalog", "--n", "-1", "--cache-dir", str(tmp_path)]) == 2
+    assert out.getvalue() == "" and err.getvalue() == "error: n must be nonnegative\n"
 
 
 def run_catalog(argv):

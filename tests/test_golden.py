@@ -61,12 +61,26 @@ GOLDEN = (
 )
 
 
+class CountingStdout(io.StringIO):
+    """A captured stdout that counts the calls to its write method."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
 @pytest.mark.parametrize(("argv", "digest"), GOLDEN, ids=[argv for argv, _ in GOLDEN])
 def test_stdout_digest(argv, digest):
-    out = io.StringIO()
+    out = CountingStdout()
     with contextlib.redirect_stdout(out):
         assert main(argv.split()) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    # the whole output is written at once, after the request succeeded
+    assert out.writes == 1
 
 
 #: The decrement simulation and the fan construction: test oracles for the
