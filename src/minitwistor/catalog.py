@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
@@ -29,6 +28,7 @@ from pathlib import Path
 from .errors import InternalInvariantError, InvalidParameterError, invariant_violation
 from .fans import validate_sequence
 from .invariants import SequenceAnalysis, analyze_sequence
+from .record import Record
 
 #: Known class counts delta(0..5); the equivalence relation must reproduce
 #: these exactly, and u1_classes fails loudly if it does not.
@@ -153,8 +153,7 @@ def u1_key(seq: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(min(b, b[::-1]) for b in blocks))
 
 
-@dataclass(frozen=True)
-class CatalogClass:
+class CatalogClass(Record):
     """One equivalence class of circle actions at a fixed n, every field in
     closed form from its block multiset ``u1_key``.
 
@@ -356,8 +355,7 @@ def family_fibonacci(n: int) -> tuple[int, ...]:
     return _maximal_step(n).k
 
 
-@dataclass(frozen=True)
-class DeltaRow:
+class DeltaRow(Record):
     n: int
     delta: int
     marked_classes: int

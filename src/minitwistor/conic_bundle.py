@@ -16,14 +16,12 @@ n + r - s of them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InvalidParameterError
 from .invariants import Weights, analyze_sequence
+from .record import Record
 
 
-@dataclass(frozen=True)
-class DiscriminantReport:
+class DiscriminantReport(Record):
     """Discriminant locus of a conic-bundle model, as index bookkeeping.
 
     The two sections are always discriminant curves.  Reducible fibers
@@ -79,8 +77,7 @@ def discriminant_deformed(seq: Weights) -> DiscriminantReport:
     )
 
 
-@dataclass(frozen=True)
-class BlowUpStage:
+class BlowUpStage(Record):
     """One stage of the base-locus elimination.  Center names use '~' for the
     conjugate divisor and '&' for intersection; conjugate centers are implied
     throughout.  For stages past the second, plus_indices and minus_indices
@@ -89,12 +86,11 @@ class BlowUpStage:
     stage: int
     description: str
     centers: tuple[str, ...]
-    plus_indices: tuple[int, ...] = field(default=())
-    minus_indices: tuple[int, ...] = field(default=())
+    plus_indices: tuple[int, ...] = ()
+    minus_indices: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class BlowUpSchedule:
+class BlowUpSchedule(Record):
     """Symbolic ledger of the partial base-locus elimination.
 
     One stage suffices in the semi-free case m = 1; otherwise the multiplicity

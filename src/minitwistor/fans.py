@@ -17,9 +17,9 @@ numbers along the extreme families, so fixed-width arithmetic is rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InternalInvariantError, InvalidFanError, InvalidSequenceError
+from .record import Record
 
 Ray = tuple[int, int]
 
@@ -33,8 +33,7 @@ def _neg(v: Ray) -> Ray:
     return (-v[0], -v[1])
 
 
-@dataclass(frozen=True)
-class HalfFan:
+class HalfFan(Record):
     """Ordered primitive rays v_1, ..., v_{n+2} spanning half of a smooth
     complete centrally-symmetric fan.
 

@@ -40,18 +40,17 @@ steps, reports or index sets is the 1-based geometric one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul, sub
 
 from .errors import invariant_violation
 from .fans import HalfFan, Ray, sequence_from_fan, validate_sequence
+from .record import Record
 
 SEMI_FREE_NOTE = "semi-free: handled by LeBrun theory"
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(Record):
     """Steps (i_l, j_l) of the decrement procedure on a weight sequence.
 
     Step l lowers entries i_l..j_l by one; indices are in the k-numbering
@@ -69,8 +68,7 @@ class ReductionTrace:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class TraceDivisor:
+class TraceDivisor(Record):
     """Multiplicities of the degree-one components of the divisor built from
     a reduction trace: step (i_l, j_l) contributes the component left of the
     run on the plus side and the run end on the minus side.
@@ -89,8 +87,7 @@ class TraceDivisor:
         return sum(self.plus)
 
 
-@dataclass(frozen=True)
-class SequenceAnalysis:
+class SequenceAnalysis(Record):
     """A validated weight sequence with its invariants in closed form.
 
     Built once per request by :func:`analyze_sequence`.  ``rays`` is the ray
@@ -317,8 +314,7 @@ def sequence_l_vector(seq: Weights) -> tuple[int, ...]:
     return analyze_sequence(seq).l
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(Record):
     """Regular components and the deformability slack of a weight sequence.
 
     A component is regular when its weight is 1.  r is the last index of the

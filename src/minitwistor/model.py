@@ -27,13 +27,13 @@ Fractions appear only in the returned coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .errors import InternalInvariantError, InvalidParameterError
 from .exact import INF, Infinity, Scalar
 from .invariants import Weights, analyze_sequence
+from .record import Record
 
 
 #: The largest m the model is expanded for: the equation has degree 2m.  On a
@@ -66,8 +66,7 @@ def validate_lambdas(lambdas: tuple[Scalar, ...], n: int) -> None:
             raise InvalidParameterError("conformal invariants must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class BinaryForm:
+class BinaryForm(Record):
     """Homogeneous binary form; coefficients[d] multiplies u_1^d u_{n+2}^{degree-d}."""
 
     degree: int
@@ -137,8 +136,7 @@ def rhs_polynomial(
     return form
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(Record):
     """Quadratic polynomial in z_0..z_m as a map (a, b) -> coefficient of z_a z_b,
     keys normalized to a <= b and zero coefficients omitted."""
 
@@ -170,8 +168,7 @@ def quadratic_split(form: BinaryForm, m: int) -> QuadraticForm:
     return split
 
 
-@dataclass(frozen=True)
-class SingularityRecord:
+class SingularityRecord(Record):
     """One singularity of the model surface.
 
     kind "cyclic-quotient-pair": the conjugate pair of C^2/Z_m points over
@@ -185,8 +182,7 @@ class SingularityRecord:
     index: int | None = None
 
 
-@dataclass(frozen=True)
-class MinitwistorModel:
+class MinitwistorModel(Record):
     """The full projective model: equation, dimensions, fibers, singularities.
 
     The fiber ledger is read off the multiplicity vector l:

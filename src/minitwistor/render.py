@@ -7,22 +7,23 @@ inputs produce identical bytes.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from fractions import Fraction
 
 from .conic_bundle import BlowUpSchedule, DiscriminantReport
 from .exact import Infinity, decimal, format_scalar
 from .model import MinitwistorModel, QuadraticForm
+from .record import Record
 
 
 def _encode(value):
-    """json.dumps hook: exact scalars as text, dataclasses as dicts of their
-    fields; the tuple keys (a, b) of QuadraticForm.terms become "a,b"."""
+    """json.dumps hook: exact scalars as text, records as dicts of their
+    fields (never of a cached property); the tuple keys (a, b) of
+    QuadraticForm.terms become "a,b"."""
     if isinstance(value, (Fraction, Infinity)):
         return format_scalar(value)
-    if dataclasses.is_dataclass(value):
-        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, Record):
+        fields = {name: getattr(value, name) for name in value._fields}
         if isinstance(value, QuadraticForm):
             fields["terms"] = {f"{a},{b}": cf for (a, b), cf in value.terms.items()}
         return fields

@@ -2,26 +2,42 @@
 
 from __future__ import annotations
 
+import copy
+import json
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
 from minitwistor import (
+    BinaryForm,
+    BlowUpStage,
+    DiscriminantReport,
+    HalfFan,
     InternalInvariantError,
+    InvalidFanError,
+    InvalidParameterError,
     InvalidSequenceError,
+    MinitwistorModel,
+    QuadraticForm,
     ReductionTrace,
     SequenceAnalysis,
+    SingularityRecord,
     analyze_sequence,
     blow_up_schedule,
     discriminant_deformed,
     discriminant_joyce,
     fan_from_sequence,
+    growth_report,
     minitwistor_model,
     restriction_multiplicities,
     self_intersections,
     sequence_from_fan,
+    u1_classes,
 )
 from minitwistor.invariants import (
+    RegularityReport,
     TraceDivisor,
     l_vector,
     reduction_steps,
@@ -29,6 +45,8 @@ from minitwistor.invariants import (
     regularity,
     trace_divisor,
 )
+
+from minitwistor.render import dumps
 
 from support import insertions, oriented_sequences, restriction_oracle
 
@@ -80,13 +98,117 @@ def test_record_matches_simulation_on_random_paths():
         )
 
 
+def record_pairs():
+    """Two equal, separately built instances of each of the 14 record types;
+    the first of each pair has its cached property, if any, read."""
+    seq = (1, 2, 5, 3, 1)
+
+    def build():
+        rec = analyze_sequence(seq)
+        model = minitwistor_model(seq)
+        schedule = blow_up_schedule(seq)
+        return [
+            rec,
+            rec.trace,
+            HalfFan(rec.rays),
+            trace_divisor(reduction_trace(seq)),
+            regularity(seq),
+            model,
+            model.rhs,
+            model.q,
+            model.singularities[0],
+            discriminant_deformed(seq),
+            schedule,
+            schedule.stages[-1],
+            u1_classes(6)[-1],
+            growth_report(4)[-1],
+        ]
+
+    first, second = build(), build()
+    first[0].trace
+    first[12].members
+    assert len({type(value) for value in first}) == 14
+    return list(zip(first, second))
+
+
 def test_record_passes_through_and_is_frozen():
     rec = analyze_sequence((1, 2, 5, 3, 1))
     assert isinstance(rec, SequenceAnalysis)
     assert analyze_sequence(rec) is rec
     assert rec.trace is rec.trace  # built once, on first use
-    with pytest.raises(AttributeError):
-        rec.m = 7
+    for read, fresh in record_pairs():
+        cls = type(read)
+        assert read is not fresh
+        # equality and hashing see the fields only, not a cached property
+        assert read == fresh and not read != fresh
+        # nor another type, not even the tuple of the same values
+        assert read != object() and read != (*vars(fresh).values(),)
+        if cls in (QuadraticForm, MinitwistorModel):
+            # QuadraticForm.terms is a dict
+            with pytest.raises(TypeError):
+                hash(read)
+        else:
+            assert hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
+        assert repr(read).startswith(f"{cls.__name__}({cls._fields[0]}=")
+        fields = {name: getattr(fresh, name) for name in cls._fields}
+        assert cls(**fields) == cls(*fields.values()) == read
+        for name in (*cls._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(read, name, None)
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                delattr(read, name)
+        assert {name: getattr(read, name) for name in cls._fields} == fields
+        first, *rest = cls._fields
+        with pytest.raises(TypeError):
+            cls(**{name: fields[name] for name in rest})
+        with pytest.raises(TypeError):
+            cls(**fields, extra=None)
+        with pytest.raises(TypeError):
+            cls(fields[first], **fields)
+        for copied in (copy.deepcopy(read), pickle.loads(pickle.dumps(read))):
+            assert type(copied) is cls and copied == read
+            with pytest.raises(AttributeError):
+                setattr(copied, first, None)
+
+
+def test_record_fields_and_defaults():
+    assert DiscriminantReport._fields == (
+        "deformed", "reducible_fiber_chains", "irreducible_fibers", "hyperplane_sections",
+        "r", "s", "sections", "possibly_nonreduced",
+    )
+    report = DiscriminantReport(False, (), (), 0)
+    assert (report.r, report.s, report.sections, report.possibly_nonreduced) == (
+        None, None, ("Gamma", "Gamma_bar"), True,
+    )
+    stage = BlowUpStage(stage=1, description="base", centers=())
+    assert (stage.plus_indices, stage.minus_indices) == ((), ())
+    assert SingularityRecord("real-A", 1, Fraction(1)).index is None
+    rec = analyze_sequence((1, 2, 1))
+    fields = {name: getattr(rec, name) for name in SequenceAnalysis._fields if name != "note"}
+    assert SequenceAnalysis(**fields).note is None
+    reg = regularity((1, 2, 1))
+    fields = {name: getattr(reg, name) for name in RegularityReport._fields if name != "note"}
+    assert RegularityReport(**fields).note is None
+    # the validating records still check their input
+    with pytest.raises(InvalidFanError):
+        HalfFan(((1, 0),))
+    with pytest.raises(InvalidFanError):
+        HalfFan(((1, 0), (0, 1), (1, 1)))
+    with pytest.raises(InvalidParameterError):
+        BinaryForm(degree=2, coefficients=(Fraction(1),))
+    with pytest.raises(InvalidParameterError):
+        BinaryForm(2, ())
+
+
+def test_cached_properties_never_reach_json():
+    for read, fresh in record_pairs():
+        assert dumps(read) == dumps(fresh)
+    cached = ((analyze_sequence((1, 2, 5, 3, 1)), "trace"), (u1_classes(6)[-1], "members"))
+    for record, name in cached:
+        getattr(record, name)
+        assert name in vars(record) and name not in json.loads(dumps(record))
 
 
 def test_entry_points_accept_the_record():

@@ -3,8 +3,13 @@ them."""
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import minitwistor
 import minitwistor.invariants
+
+from support import src_env
 
 #: The decrement simulation and its run scan: test oracles, imported from
 #: minitwistor.invariants only.
@@ -40,3 +45,16 @@ def test_oracles_and_helpers_are_not_exported():
 def test_oracles_resolve_in_invariants():
     for name in ORACLE_NAMES:
         assert callable(getattr(minitwistor.invariants, name)), name
+
+
+def test_cli_import_leaves_out_the_slow_stdlib_modules():
+    # dataclasses imports inspect, which imports ast, dis and tokenize: about
+    # a fifth of a CLI call's start-up on a 2-core VM
+    probe = (
+        "import sys, minitwistor.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=src_env(), check=True
+    )
+    assert result.stdout == "[]\n"
