@@ -6,22 +6,24 @@ insertions: prepend 1, append 1, or insert k_i + k_{i+1} at an adjacency.
 Marked actions are identified up to reversal; circle actions are identified
 by the coarser connected-sum relation described at :func:`u1_key`, whose
 classes are the multisets of blocks of entries > 1.  :func:`u1_classes`
-builds them from the blocks, read off the enumerated levels, with every
-listed field in closed form; members are arranged only when asked for.  The
-class count delta(n) is gated against its known small values and counted in
-closed form by :func:`growth_report`; the three named families
-(semi-free-containing, involution-isotropy, maximal-step) are written down in
-closed form.
+builds them from the blocks, which it generates directly as the windows
+(1, B, 1) by the canonical augmentation :func:`enumerate_marked` uses,
+without enumerating a level, and with every listed field in closed form;
+members are arranged only when asked for.  The class count delta(n) is gated
+against its known small values and counted in closed form by
+:func:`growth_report`; the three named families (semi-free-containing,
+involution-isotropy, maximal-step) are written down in closed form.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import comb, factorial, perm
 from operator import attrgetter, sub
 from pathlib import Path
 
@@ -46,8 +48,9 @@ FIBONACCI_TABLE = {
 
 
 #: The largest level the enumeration serves.  Level 14 has C_14 = 2,674,440
-#: sequences; u1_classes(14) takes about 11 s and 705 MB of peak RSS (2-core
-#: VM, CPython 3.11), and each further level costs about 3.5 times more.
+#: sequences and 604,297 classes; u1_classes(14) takes about 10 s and 660 MB
+#: of peak RSS (2-core VM, CPython 3.11), and each further level costs about
+#: 3.5 times more.
 _MAX_LEVEL = 14
 
 
@@ -136,8 +139,9 @@ def u1_key(seq: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     all-ones sequence has the empty key.  This relation reproduces the known
     counts delta(4) = 7 and delta(5) = 15 (the finer run-length word fails at
     n = 5), and it is gated on them at runtime.  :func:`u1_classes` builds
-    the keys themselves; this function keys a given sequence, and a cache
-    hit checks each class's canonical member with it.
+    the keys themselves and a cache hit checks them block by block, so
+    neither calls this function: it keys a given sequence, for callers and
+    as the tests' oracle.
     """
     blocks: list[tuple[int, ...]] = []
     current: list[int] = []
@@ -207,51 +211,92 @@ def _build_classes(n: int, keys: list[tuple[tuple[int, ...], ...]]) -> list[Cata
     B_t, with no analysis and no member.  A miss and a cache hit both build
     their classes here, so a hit's fields are the miss's.
 
-    With size = sum |B| and lead = n + 1 - size - t spare ones:
+    Each distinct block B is read once, into its piece B + (1,), its
+    fragment frag(B) = (B[0] - 1, |B[1] - B[0]|, ..., B[-1] - 1) of absolute
+    differences across the window (1, B, 1), its share m_B - 1 =
+    sum frag(B) / 2 of the class's step count, and whether it differs from
+    its reversal.  A class joins its blocks' pieces.  With
+    w = sum (|B| + 1) and lead = n + 1 - w spare ones:
 
     - canonical = (1,) * lead + B_1 + (1,) + ... + B_t + (1,), the least
       member: a block followed by a one is never a prefix of another, so key
       order is the least order of the blocks;
-    - l = (1, 0, ..., 0, frag(B_1), ..., frag(B_t), 1), with lead - 1 zeros
-      and frag(B) = (B[0] - 1, |B[1] - B[0]|, ..., B[-1] - 1), the absolute
-      differences across the window (1, B, 1); these are the absolute
-      differences of (0, canonical, 0), taken in one pass;
-    - m = sum l / 2 = 1 + sum_B (m_B - 1), where m_B = 1 + sum frag(B) / 2 is
-      the step count of the window (1, B, 1);
-    - slack = n - size - t, and None for the empty key;
-    - member_count = C(n - size, t) * t! / prod c_B! * 2^f: the blocks go
-      into t of the n - size gaps between the n + 1 - size ones, in
+    - l = (1, 0, ..., 0, frag(B_1), ..., frag(B_t), 1), with lead - 1 zeros:
+      the absolute differences of (0, canonical, 0);
+    - m = sum l / 2 = 1 + sum_B (m_B - 1);
+    - slack = n - sum |B| - t = lead - 1, and None for the empty key;
+    - member_count = C(lead - 1 + t, t) * t! / prod c_B! * 2^f: the blocks go
+      into t of the lead - 1 + t gaps between the lead + t ones, in
       t! / prod c_B! orders (c_B the multiplicity of B), and each of the f
-      blocks that is not a palindrome in either of its two orientations.
+      blocks that is not a palindrome in both of its orientations.
     """
+    data = {}
+    for block in {block for key in keys for block in key}:
+        window = (1,) + block + (1,)
+        frag = tuple(map(abs, map(sub, window[1:], window)))
+        data[block] = (block + (1,), frag, sum(frag) // 2, block != block[::-1])
     classes = []
     for key in keys:
-        size = sum(map(len, key))
+        tail = frags = ()
+        steps = flips = 0
+        for block in key:
+            piece, frag, more, flip = data[block]
+            tail += piece
+            frags += frag
+            steps += more
+            flips += flip
         t = len(key)
-        lead = n + 1 - size - t
-        canonical = (1,) * lead + sum([block + (1,) for block in key], ())
-        l = tuple(map(abs, map(sub, canonical + (0,), (0,) + canonical)))
-        count = comb(n - size, t) * factorial(t) << sum([block != block[::-1] for block in key])
+        lead = n + 1 - len(tail)
+        count = perm(lead - 1 + t, t) << flips
         if len(set(key)) < t:
             # a repeated block: divide out the orders of its copies
             for block in set(key):
                 count //= factorial(key.count(block))
-        slack = n - size - t if key else None
-        classes.append(CatalogClass(canonical, key, sum(l) // 2, l, slack, count))
+        canonical = (1,) * lead + tail
+        l = (1,) + (0,) * (lead - 1) + frags + (1,)
+        classes.append(CatalogClass(canonical, key, 1 + steps, l, lead - 1 if key else None, count))
     classes.sort(key=attrgetter("canonical"))
     return classes
+
+
+def _windows(n: int) -> Iterator[list[tuple[int, ...]]]:
+    """The oriented windows (1, B, 1) of weights 2..n, one list per weight:
+    the level-j sequences with no 1 inside, B their block of weight
+    |B| + 1 = j.
+
+    Windows are closed under the canonical augmentation of
+    :func:`enumerate_marked`.  The second entry of a window of weight j >= 2
+    is not 1, so its leftmost removable entry is an interior mediant, and
+    deleting it leaves a window of weight j - 1, down to (1, 1).  A
+    prepended 1 would sit inside, and an inserted mediant exceeds 1, so the
+    windows of weight j are exactly the children of those of weight j - 1 by
+    a mediant at an adjacency i < stop, each built once.  Only the previous
+    weight's windows are kept."""
+    windows = [(1, 1)]
+    for _ in range(n - 1):
+        children: list[tuple[int, ...]] = []
+        keep = children.append
+        for p in windows:
+            stop = len(p)
+            for j in range(1, stop - 1):
+                if p[j] == p[j - 1] + p[j + 1]:
+                    stop = j + 2
+                    break
+            for i in range(1, stop):
+                keep(p[:i] + (p[i - 1] + p[i],) + p[i:])
+        windows = children
+        yield windows
 
 
 def _block_keys(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """Every multiset of blocks with sum (|B| + 1) <= n, as a sorted tuple.
 
-    The blocks of weight j are the interiors of the level-j sequences with
-    no 1 inside: valid by construction, and reversal-canonical because the
-    sequences are.  Taking the blocks in order, each any number of times
-    (an unbounded knapsack over the weight), builds each multiset once and
-    sorted."""
+    The blocks of weight j are the interiors of the windows of weight j
+    that are no greater than their reversal.  Taking the blocks in order,
+    each any number of times (an unbounded knapsack over the weight), builds
+    each multiset once and sorted."""
     blocks = sorted(
-        rep[1:-1] for j in range(2, n + 1) for rep in enumerate_marked(j) if rep.count(1) == 2
+        window[1:-1] for windows in _windows(n) for window in windows if window <= window[::-1]
     )
     by_weight: list[list[tuple[tuple[int, ...], ...]]] = [[()]] + [[] for _ in range(n)]
     for block in blocks:
@@ -410,13 +455,17 @@ class CatalogCache:
     A version-4 file is ``{"version": 4, "n": n, "classes": [key, ...]}``,
     one block multiset key per class.  Every field of a class derives from
     its key, so a hit builds its classes with the builder a miss uses.  load
-    validates each distinct block B once, as the window (1, B, 1); checks
-    that no key is heavier than n and that the keys are distinct; checks
-    that each built canonical member has its class's key, which holds only
-    when every block is sorted, reversal-canonical and free of ones; and
-    checks that the member counts add up to the Catalan number C_n of
-    level-n sequences, which proves that no class is missing.  Any failure,
-    and any file of another version, is a miss.
+    checks each distinct block B once: its window (1, B, 1) is valid, B is
+    nonempty, has no entry 1 and is no greater than its reversal.  It
+    checks that each key is sorted, that no key is heavier than n and that
+    the keys are distinct, and that the member counts add up to the Catalan
+    number C_n of level-n sequences, which proves that no class is missing.
+    The block and key checks give u1_key(canonical) == key without keying a
+    member: a key that fits in n leaves a leading one, so the canonical
+    member is ones, B_1, 1, ..., B_t, 1; its maximal runs of entries > 1 are
+    exactly the nonempty, one-free blocks, each its own least orientation,
+    in key order, which is sorted.  Any failure, and any file of another
+    version, is a miss.
     """
 
     VERSION = 4
@@ -440,16 +489,20 @@ class CatalogCache:
             if data["version"] != self.VERSION or data["n"] != n:
                 return None
             keys = [tuple(map(tuple, key)) for key in data["classes"]]
-            for block in {block for key in keys for block in key}:
+            blocks = {block for key in keys for block in key}
+            for block in blocks:
                 validate_sequence((1,) + block + (1,))
         except (OSError, ValueError, LookupError, TypeError, RecursionError):
             return None
-        if len(set(keys)) != len(keys) or any(sum(map(len, key)) + len(key) > n for key in keys):
+        if any(not block or 1 in block or block > block[::-1] for block in blocks):
+            return None
+        if len(set(keys)) != len(keys) or any(
+            list(key) != sorted(key) or sum(map(len, key)) + len(key) > n for key in keys
+        ):
             return None
         classes = _build_classes(n, keys)
-        sound = all(u1_key(cls.canonical) == cls.u1_key for cls in classes)
         total = sum(cls.member_count for cls in classes)
-        return classes if sound and total == _catalan(n) else None
+        return classes if total == _catalan(n) else None
 
     def store(self, n: int, classes: list[CatalogClass]) -> Path | None:
         path = self.path(n)

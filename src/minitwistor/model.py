@@ -137,16 +137,17 @@ def rhs_polynomial(
 
 
 class QuadraticForm(Record):
-    """Quadratic polynomial in z_0..z_m as a map (a, b) -> coefficient of z_a z_b,
-    keys normalized to a <= b and zero coefficients omitted."""
+    """Quadratic polynomial in z_0..z_m as ((a, b), coefficient of z_a z_b)
+    items, a <= b, zero coefficients omitted.  A tuple, not a dict, so the
+    form is frozen and hashable like every record."""
 
     m: int
-    terms: dict[tuple[int, int], Fraction]
+    terms: tuple[tuple[tuple[int, int], Fraction], ...]
 
     def pullback(self) -> BinaryForm:
         """Substitute z_d = u_1^d u_{n+2}^{m-d}; inverse of the splitting."""
         coeffs = [Fraction(0)] * (2 * self.m + 1)
-        for (a, b), cf in self.terms.items():
+        for (a, b), cf in self.terms:
             coeffs[a + b] += cf
         return BinaryForm(degree=2 * self.m, coefficients=tuple(coeffs))
 
@@ -156,10 +157,9 @@ def quadratic_split(form: BinaryForm, m: int) -> QuadraticForm:
     the u_1^d u_{n+2}^{2m-d} coefficient lands on z_{floor(d/2)} z_{ceil(d/2)}."""
     if form.degree != 2 * m:
         raise InvalidParameterError(f"form has degree {form.degree}, expected {2 * m}")
-    terms: dict[tuple[int, int], Fraction] = {}
-    for d, cf in enumerate(form.coefficients):
-        if cf:
-            terms[(d // 2, (d + 1) // 2)] = cf
+    terms = tuple(
+        ((d // 2, (d + 1) // 2), cf) for d, cf in enumerate(form.coefficients) if cf
+    )
     split = QuadraticForm(m=m, terms=terms)
     if split.pullback() != form:
         raise InternalInvariantError(

@@ -18,14 +18,14 @@ from .record import Record
 
 def _encode(value):
     """json.dumps hook: exact scalars as text, records as dicts of their
-    fields (never of a cached property); the tuple keys (a, b) of
-    QuadraticForm.terms become "a,b"."""
+    fields (never of a cached property); the ((a, b), coefficient) items of
+    QuadraticForm.terms become an object keyed "a,b"."""
     if isinstance(value, (Fraction, Infinity)):
         return format_scalar(value)
     if isinstance(value, Record):
         fields = {name: getattr(value, name) for name in value._fields}
         if isinstance(value, QuadraticForm):
-            fields["terms"] = {f"{a},{b}": cf for (a, b), cf in value.terms.items()}
+            fields["terms"] = {f"{a},{b}": cf for (a, b), cf in value.terms}
         return fields
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
@@ -40,7 +40,7 @@ def dumps(value) -> str:
 
 def _ordered_terms(q: QuadraticForm) -> list[tuple[tuple[int, int], Fraction]]:
     # descending total degree on the parameter curve, then descending index
-    return sorted(q.terms.items(), key=lambda item: (-(item[0][0] + item[0][1]), -item[0][0]))
+    return sorted(q.terms, key=lambda item: (-(item[0][0] + item[0][1]), -item[0][0]))
 
 
 def _join_terms(rendered: list[tuple[int, str]]) -> str:

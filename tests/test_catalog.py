@@ -27,6 +27,7 @@ from minitwistor import (
     u1_classes_cached,
     u1_key,
 )
+from minitwistor.catalog import _build_classes, _windows
 from minitwistor.invariants import (
     _multiplicities,
     l_vector,
@@ -120,6 +121,28 @@ def test_enumeration_matches_the_insertion_oracle():
         assert len(level) == (comb(2 * n, n) // (n + 1) + palindromes) // 2
 
 
+def test_windows_match_the_filtered_levels():
+    # the direct window generator against the levels it replaced: the
+    # windows of weight j are the level-j sequences with exactly two ones,
+    # in both orientations, each built once, and the reversal-canonical ones
+    # are the b(j) blocks that growth_report counts
+    weights = 0
+    for j, windows in enumerate(_windows(12), start=2):
+        filtered = sorted(
+            oriented
+            for rep in enumerate_marked(j)
+            if rep.count(1) == 2
+            for oriented in {rep, rep[::-1]}
+        )
+        assert sorted(windows) == filtered, j
+        catalan = [comb(2 * i, i) // (i + 1) for i in range(j)]
+        b = (catalan[j - 1] + (catalan[j // 2 - 1] if j % 2 == 0 else 0)) // 2
+        assert sum(window <= window[::-1] for window in windows) == b, j
+        weights += 1
+    assert weights == 11
+    assert list(_windows(1)) == list(_windows(0)) == []
+
+
 def test_enumerate_marked_is_the_only_memo(count_calls):
     # the benchmark clears this one memo to make each catalog miss cold
     memos = set()
@@ -135,12 +158,21 @@ def test_enumerate_marked_is_the_only_memo(count_calls):
                 if hasattr(obj, "cache_info")
             }
     assert memos == {"minitwistor.catalog.enumerate_marked"}
+    # the blocks are generated directly, so the classes neither call the
+    # level memo nor leave anything in it, cold or warm
     enumerate_marked.cache_clear()
     calls = count_calls("catalog", "enumerate_marked")
+    cold = enumerate_marked.cache_info()
     u1_classes(6)
-    # the blocks are read off levels 2..6, and each level is built once
-    assert set(calls) == {(n,) for n in range(7)}
-    assert enumerate_marked.cache_info().misses == 7
+    assert enumerate_marked.cache_info() == cold and cold.currsize == 0
+    assert calls == []
+    enumerate_marked(5)
+    warm = enumerate_marked.cache_info()
+    calls.clear()
+    for n in range(9):
+        u1_classes(n)
+    assert enumerate_marked.cache_info() == warm and warm.currsize == 6
+    assert calls == []
 
 
 def test_level_limit_is_checked_before_any_work(count_calls):
@@ -640,6 +672,34 @@ def test_cache_hit_prints_what_the_miss_printed(tmp_path, count_calls):
     assert len(calls) == 2 * 8 * 2
 
 
+def test_cache_checks_each_block_where_the_count_cannot(tmp_path):
+    # each edit keeps the keys distinct, within the weight bound and with
+    # every window valid, and its member counts still add up to C_n; only
+    # the per-block and per-key checks of load reject it
+    cases = (
+        # a block with an interior one, (1,2,1,2,1) as one window, in place
+        # of the two blocks (2) whose class has that canonical member
+        (4, ((2,), (2,)), ((2, 1, 2),)),
+        # a non-palindromic block in its reversed orientation
+        (5, ((2, 3),), ((3, 2),)),
+        # an empty block beside (2), whose window (1,1) is valid
+        (3, ((2,),), ((), (2,))),
+        # a key whose blocks are out of order
+        (5, ((2,), (2, 3)), ((2, 3), (2,))),
+    )
+    for n, old, new in cases:
+        fresh = run_catalog(["--n", str(n), "--no-cache"])
+        keys = [cls.u1_key for cls in u1_classes(n)]
+        edited = [new if key == old else key for key in keys]
+        assert edited != keys
+        assert sum(cls.member_count for cls in _build_classes(n, edited)) == comb(2 * n, n) // (n + 1)
+        cache = CatalogCache(tmp_path)
+        cache.path(n).write_text(json.dumps({"version": 4, "n": n, "classes": edited}), encoding="utf-8")
+        assert cache.load(n) is None, new
+        assert run_catalog(["--n", str(n), "--cache-dir", str(tmp_path)]) == fresh
+        assert cache.load(n) == u1_classes(n)
+
+
 def test_cache_store_leaves_no_temporary_file(tmp_path):
     cache = CatalogCache(tmp_path)
     classes = u1_classes(4)
@@ -678,12 +738,12 @@ def test_cache_hit_validates_each_block_once(tmp_path, count_calls):
     }
     assert run_catalog(argv) == miss
     assert calls["enumerate_marked"] == calls["u1_classes"] == calls["analyze_sequence"] == []
-    # one window per distinct block, one key per class; no member is built
+    # one window per distinct block, and no member is built or keyed
     blocks = {block for cls in u1_classes(7) for block in cls.u1_key}
     assert sorted(args[0] for args in calls["validate_sequence"]) == sorted(
         (1,) + block + (1,) for block in blocks
     )
-    assert len(calls["u1_key"]) == 119
+    assert calls["u1_key"] == []
 
 
 def test_cache_file_schema(tmp_path):

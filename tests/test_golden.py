@@ -58,6 +58,9 @@ GOLDEN = (
     # were inlined: the heaviest requests of the catalog benchmark
     ("catalog --classes marked --n 11 --no-cache", "2f9e112debb30de1611012c9173ff9054dea145d3fce9abea8597b2d6121ae57"),
     ("catalog --n 11 --no-cache", "349aad5603dd73194d551e632c9c3a9f1f725b5e0b0415a4d836fcb2856514fc"),
+    # recorded from the blocks read off the enumerated levels, before they
+    # were generated directly
+    ("catalog --n 12 --no-cache", "7a341a3dd91839d1dcc94e75c844e8cf66a90afb9988534def377be0a45bb061"),
 )
 
 
