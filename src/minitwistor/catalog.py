@@ -9,10 +9,11 @@ classes are the multisets of blocks of entries > 1.  :func:`u1_classes`
 builds them from the blocks, which it generates directly as the windows
 (1, B, 1) by the canonical augmentation :func:`enumerate_marked` uses,
 without enumerating a level, and with every listed field in closed form;
-members are arranged only when asked for.  The class count delta(n) is gated
-against its known small values and counted in closed form by
-:func:`growth_report`; the three named families (semi-free-containing,
-involution-isotropy, maximal-step) are written down in closed form.
+members are arranged only when asked for.  Both counts, the reversal
+classes and delta(n), are counted in closed form by :func:`growth_report`,
+and both generators are gated on them at every level; the three named
+families (semi-free-containing, involution-isotropy, maximal-step) are
+written down in closed form.
 """
 
 from __future__ import annotations
@@ -22,18 +23,17 @@ import os
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from math import comb, factorial, perm
 from operator import attrgetter, sub
 from pathlib import Path
 
 from .errors import InternalInvariantError, InvalidParameterError, invariant_violation
-from .fans import validate_sequence
 from .invariants import SequenceAnalysis, analyze_sequence
 from .record import Record
 
-#: Known class counts delta(0..5); the equivalence relation must reproduce
-#: these exactly, and u1_classes fails loudly if it does not.
+#: Known class counts delta(0..5); the closed form of growth_report, which
+#: gates u1_classes at every level, must reproduce these exactly.
 KNOWN_DELTA = (1, 1, 2, 3, 7, 15)
 
 #: The maximal-step family with its l-vectors and step counts, for n = 2..7.
@@ -48,9 +48,10 @@ FIBONACCI_TABLE = {
 
 
 #: The largest level the enumeration serves.  Level 14 has C_14 = 2,674,440
-#: sequences and 604,297 classes; u1_classes(14) takes about 10 s and 660 MB
-#: of peak RSS (2-core VM, CPython 3.11), and each further level costs about
-#: 3.5 times more.
+#: sequences and 604,297 classes; u1_classes(14) takes about 8 s and 660 MB
+#: of peak RSS, and enumerate_marked(14) in a fresh CLI process about 4.4 s
+#: and 540 MB (2-core VM, CPython 3.11); each further level costs about 3.5
+#: times more.
 _MAX_LEVEL = 14
 
 
@@ -93,10 +94,19 @@ def enumerate_marked(n: int) -> tuple[tuple[int, ...], ...]:
     len(p) - 1, so the scan for r sets the end of the mediant range directly:
     stop = min(r + 1, last) + 1, which is 1 for p == (1,), 2 when p[1] == 1
     and j + 2 at the first interior mediant j, and each child with
-    1 <= i < stop is built.  So every level-n sequence comes from exactly one
-    oriented level-(n-1) parent, and of a child and its reversal (each
-    generated once) only the lesser is kept, as soon as it is built.  No set
-    is needed.
+    1 <= i < stop is generated.  So every level-n sequence comes from exactly
+    one oriented level-(n-1) parent, and of a child and its reversal (each
+    generated once) only the lesser is kept.  No set is needed.
+
+    Which of the two is the lesser is mostly decided before the child is
+    built.  Every sequence c starts and ends with 1, so c <= c[::-1] is
+    settled by c[1] against c[-2] unless the two are equal, and only such a
+    tie builds the child to compare it in full.  With a, b = p[1], p[-2],
+    the prepended child has the pair (1, b), and is kept outright when
+    b > 1.  The mediant x at adjacency i has the pair (x, b) at i = 1, where
+    x = 1 + a, the pair (a, x) at i = last, where x = b + 1, and the pair
+    (a, b) between them: those middle children are all kept when a < b and
+    none is built when a > b.
     """
     if n < 0:
         raise InvalidParameterError("n must be nonnegative")
@@ -109,23 +119,42 @@ def enumerate_marked(n: int) -> tuple[tuple[int, ...], ...]:
         for p in (rep,) if rep == rep[::-1] else (rep, rep[::-1]):
             last = len(p) - 1
             if last == 0:
-                stop = 1
-            elif p[1] == 1:
-                stop = 2
-            else:
-                stop = last + 1
-                for j in range(1, last):
-                    if p[j] == p[j - 1] + p[j + 1]:
-                        stop = j + 2
-                        break
+                keep((1, 1))
+                continue
+            a, b = p[1], p[-2]
             child = (1,) + p
-            if child <= child[::-1]:
+            if b > 1 or child <= child[::-1]:
                 keep(child)
-            for i in range(1, stop):
-                child = p[:i] + (p[i - 1] + p[i],) + p[i:]
-                if child <= child[::-1]:
+            # at p == (1, 1) the mediant 2 takes both places of the pair
+            x = 1 + a
+            if x <= b or last == 1:
+                child = (1, x) + p[1:]
+                if x < b or child <= child[::-1]:
+                    keep(child)
+            if a == 1:
+                continue
+            stop = last + 1
+            for j in range(1, last):
+                if p[j] == p[j - 1] + p[j + 1]:
+                    stop = j + 2
+                    break
+            if a < b:
+                level += [p[:i] + (p[i - 1] + p[i],) + p[i:] for i in range(2, min(stop, last))]
+            elif a == b:
+                for i in range(2, min(stop, last)):
+                    child = p[:i] + (p[i - 1] + p[i],) + p[i:]
+                    if child <= child[::-1]:
+                        keep(child)
+            if stop > last and a <= b + 1:
+                child = p[:-1] + (b + 1, 1)
+                if a <= b or child <= child[::-1]:
                     keep(child)
     level.sort()
+    if len(level) != _marked_count(n):
+        raise InternalInvariantError(
+            f"enumerate_marked: n = {n}: generated {len(level)} reversal classes, "
+            f"expected (C_n + p_n)/2 = {_marked_count(n)}"
+        )
     return tuple(level)
 
 
@@ -288,18 +317,26 @@ def _windows(n: int) -> Iterator[list[tuple[int, ...]]]:
         yield windows
 
 
+def _blocks(n: int) -> list[tuple[int, ...]]:
+    """The blocks B of weights 2..n, each once, in its lesser orientation:
+    the interiors of the windows (1, B, 1) no greater than their reversal.
+    A window starts and ends with 1, so B[0] against B[-1] decides unless
+    the two are equal."""
+    return [
+        window[1:-1]
+        for windows in _windows(n)
+        for window in windows
+        if window[1] < window[-2] or window[1] == window[-2] and window <= window[::-1]
+    ]
+
+
 def _block_keys(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """Every multiset of blocks with sum (|B| + 1) <= n, as a sorted tuple.
 
-    The blocks of weight j are the interiors of the windows of weight j
-    that are no greater than their reversal.  Taking the blocks in order,
-    each any number of times (an unbounded knapsack over the weight), builds
-    each multiset once and sorted."""
-    blocks = sorted(
-        window[1:-1] for windows in _windows(n) for window in windows if window <= window[::-1]
-    )
+    Taking the blocks in order, each any number of times (an unbounded
+    knapsack over the weight), builds each multiset once and sorted."""
     by_weight: list[list[tuple[tuple[int, ...], ...]]] = [[()]] + [[] for _ in range(n)]
-    for block in blocks:
+    for block in sorted(_blocks(n)):
         weight = len(block) + 1
         for total in range(weight, n + 1):
             by_weight[total] += [key + (block,) for key in by_weight[total - weight]]
@@ -308,15 +345,17 @@ def _block_keys(n: int) -> list[tuple[tuple[int, ...], ...]]:
 
 def u1_classes(n: int) -> list[CatalogClass]:
     """The level-n circle-action classes, one per block multiset, sorted by
-    canonical member; delta(n) is their number."""
+    canonical member; delta(n) is their number, checked against the closed
+    form of :func:`growth_report`."""
     if n < 0:
         raise InvalidParameterError("n must be nonnegative")
     _check_level(n)
     classes = _build_classes(n, _block_keys(n))
-    if n < len(KNOWN_DELTA) and len(classes) != KNOWN_DELTA[n]:
+    expected = _deltas(n)[n]
+    if len(classes) != expected:
         raise InternalInvariantError(
             f"u1_classes: n = {n}: equivalence relation produced delta({n}) = {len(classes)}, "
-            f"expected {KNOWN_DELTA[n]}"
+            f"expected {expected}"
         )
     return classes
 
@@ -411,6 +450,26 @@ def _catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
+def _marked_count(n: int) -> int:
+    """(C_n + p_n)/2, the reversal classes of level n (see growth_report)."""
+    palindromes = (1 if n % 2 or n == 0 else 2) * _catalan(n // 2)
+    return (_catalan(n) + palindromes) // 2
+
+
+def _deltas(n_max: int) -> list[int]:
+    """delta(0..n_max) in closed form (see growth_report)."""
+    # series[t] counts the block multisets of weight t
+    series = [1] + [0] * n_max
+    for j in range(2, n_max + 1):
+        b = (_catalan(j - 1) + (_catalan(j // 2 - 1) if j % 2 == 0 else 0)) // 2
+        # times (1 - x^j)^(-b) = sum_c C(b + c - 1, c) x^(j c)
+        series = [
+            sum(comb(b + c - 1, c) * series[t - j * c] for c in range(t // j + 1))
+            for t in range(n_max + 1)
+        ]
+    return list(accumulate(series))[: n_max + 1]
+
+
 def growth_report(n_max: int) -> tuple[DeltaRow, ...]:
     """delta(n), reversal-class counts and delta(n)/n^2 for n = 0..n_max, in
     closed form; the quadratic lower bound is reported, never asserted.
@@ -423,25 +482,14 @@ def growth_report(n_max: int) -> tuple[DeltaRow, ...]:
     [x^t] prod_{j>=2} (1 - x^j)^(-b(j)) over t <= n, with b(j) =
     (C_{j-1} + [j even] C_{j/2-1})/2 blocks of weight j up to reversal.  The
     marked count is (C_n + p_n)/2 with p_n = 1, 2 C_{n/2} or C_{(n-1)/2}
-    palindromes for n = 0, even n > 0 or odd n.
+    palindromes for n = 0, even n > 0 or odd n.  :func:`enumerate_marked`
+    and :func:`u1_classes` check their counts against these at every level.
     """
     _check_level(n_max)
-    # series[t] counts the block multisets of weight t
-    series = [1] + [0] * n_max
-    for j in range(2, n_max + 1):
-        b = (_catalan(j - 1) + (_catalan(j // 2 - 1) if j % 2 == 0 else 0)) // 2
-        # times (1 - x^j)^(-b) = sum_c C(b + c - 1, c) x^(j c)
-        series = [
-            sum(comb(b + c - 1, c) * series[t - j * c] for c in range(t // j + 1))
-            for t in range(n_max + 1)
-        ]
-    rows, delta = [], 0
-    for n in range(n_max + 1):
-        delta += series[n]
-        palindromes = (1 if n % 2 or n == 0 else 2) * _catalan(n // 2)
-        ratio = Fraction(delta, n * n) if n else None
-        rows.append(DeltaRow(n, delta, (_catalan(n) + palindromes) // 2, ratio))
-    return tuple(rows)
+    return tuple(
+        DeltaRow(n, delta, _marked_count(n), Fraction(delta, n * n) if n else None)
+        for n, delta in enumerate(_deltas(n_max))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -455,17 +503,13 @@ class CatalogCache:
     A version-4 file is ``{"version": 4, "n": n, "classes": [key, ...]}``,
     one block multiset key per class.  Every field of a class derives from
     its key, so a hit builds its classes with the builder a miss uses.  load
-    checks each distinct block B once: its window (1, B, 1) is valid, B is
-    nonempty, has no entry 1 and is no greater than its reversal.  It
-    checks that each key is sorted, that no key is heavier than n and that
-    the keys are distinct, and that the member counts add up to the Catalan
-    number C_n of level-n sequences, which proves that no class is missing.
-    The block and key checks give u1_key(canonical) == key without keying a
-    member: a key that fits in n leaves a leading one, so the canonical
-    member is ones, B_1, 1, ..., B_t, 1; its maximal runs of entries > 1 are
-    exactly the nonempty, one-free blocks, each its own least orientation,
-    in key order, which is sorted.  Any failure, and any file of another
-    version, is a miss.
+    checks that each distinct block is one of the miss's own blocks, with
+    entries of type int (JSON's 2.0 equals and hashes like 2), that each key
+    is sorted, that no key is heavier than n and that the keys are distinct,
+    and that the member counts add up to the Catalan number C_n of level-n
+    sequences, which proves that no class is missing.  The keys are then
+    exactly the miss's.  Any failure, and any file of another version, is a
+    miss.
     """
 
     VERSION = 4
@@ -479,10 +523,10 @@ class CatalogCache:
         return self.directory / f"catalog_n{n}.json"
 
     def load(self, n: int) -> list[CatalogClass] | None:
-        # a negative level has no classes to load; a missing, unreadable,
-        # truncated, too deeply nested or wrongly shaped file is a miss, and
-        # so is an invalid block (InvalidSequenceError is a ValueError)
-        if n < 0:
+        # a level outside 0..14 has no classes to load; a missing,
+        # unreadable, truncated, too deeply nested or wrongly shaped file is
+        # a miss
+        if not 0 <= n <= _MAX_LEVEL:
             return None
         try:
             data = json.loads(self.path(n).read_text(encoding="utf-8"))
@@ -490,11 +534,11 @@ class CatalogCache:
                 return None
             keys = [tuple(map(tuple, key)) for key in data["classes"]]
             blocks = {block for key in keys for block in key}
-            for block in blocks:
-                validate_sequence((1,) + block + (1,))
         except (OSError, ValueError, LookupError, TypeError, RecursionError):
             return None
-        if any(not block or 1 in block or block > block[::-1] for block in blocks):
+        if any(type(entry) is not int for block in blocks for entry in block):
+            return None
+        if not blocks <= set(_blocks(n)):
             return None
         if len(set(keys)) != len(keys) or any(
             list(key) != sorted(key) or sum(map(len, key)) + len(key) > n for key in keys
@@ -524,9 +568,9 @@ class CatalogCache:
 
 
 def u1_classes_cached(n: int, cache: CatalogCache | None = None) -> list[CatalogClass]:
-    """u1_classes with a read-through JSON cache; a negative n is rejected
-    before any file is read."""
-    if cache is None or n < 0:
+    """u1_classes with a read-through JSON cache; a negative n, or one above
+    the enumeration limit, is rejected before any file is read."""
+    if cache is None or not 0 <= n <= _MAX_LEVEL:
         return u1_classes(n)
     classes = cache.load(n)
     if classes is None:

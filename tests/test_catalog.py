@@ -27,6 +27,7 @@ from minitwistor import (
     u1_classes_cached,
     u1_key,
 )
+from minitwistor import catalog
 from minitwistor.catalog import _build_classes, _windows
 from minitwistor.invariants import (
     _multiplicities,
@@ -572,17 +573,22 @@ def test_cache_rejects_corruption(tmp_path):
         cache.path(5).write_text(json.dumps(dict(good, n=5, classes=edited)), encoding="utf-8")
         assert cache.load(5) is None, new
         assert u1_classes_cached(5, cache) == classes == cache.load(5)
-    # a file for a negative level is a miss, and the level is rejected
-    # before any file is read, by the library and by the CLI
-    negative = json.dumps({"version": 4, "n": -1, "classes": []})
-    cache.path(-1).write_text(negative, encoding="utf-8")
-    assert cache.load(-1) is None
-    with pytest.raises(InvalidParameterError, match="^n must be nonnegative$"):
-        u1_classes_cached(-1, cache)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        assert main(["catalog", "--n", "-1", "--cache-dir", str(tmp_path)]) == 2
-    assert out.getvalue() == "" and err.getvalue() == "error: n must be nonnegative\n"
+    # a file for a negative level, or one above the limit, is a miss, and
+    # the level is rejected before any file is read, by the library and by
+    # the CLI
+    for n, message in (
+        (-1, "n must be nonnegative"),
+        (15, "n = 15 is above the enumeration limit n <= 14"),
+    ):
+        payload = {"version": 4, "n": n, "classes": []}
+        cache.path(n).write_text(json.dumps(payload), encoding="utf-8")
+        assert cache.load(n) is None
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            u1_classes_cached(n, cache)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["catalog", "--n", str(n), "--cache-dir", str(tmp_path)]) == 2
+        assert out.getvalue() == "" and err.getvalue() == f"error: {message}\n"
 
 
 def run_catalog(argv):
@@ -723,11 +729,11 @@ def test_cache_reads_truncated_file_as_miss(tmp_path):
         assert cache.load(4) == classes
 
 
-def test_cache_hit_validates_each_block_once(tmp_path, count_calls):
+def test_cache_hit_calls_no_validator_or_generator(tmp_path, count_calls):
     argv = ["--n", "7", "--cache-dir", str(tmp_path)]
     miss = run_catalog(argv)
-    calls = {
-        name: count_calls(module, name)
+    calls = [
+        count_calls(module, name)
         for module, name in (
             ("catalog", "enumerate_marked"),
             ("catalog", "u1_classes"),
@@ -735,15 +741,50 @@ def test_cache_hit_validates_each_block_once(tmp_path, count_calls):
             ("catalog", "u1_key"),
             ("invariants", "analyze_sequence"),
         )
-    }
+    ]
+    # each block is looked up among the miss's own blocks: no window is
+    # validated, and no member is built, keyed or analyzed
     assert run_catalog(argv) == miss
-    assert calls["enumerate_marked"] == calls["u1_classes"] == calls["analyze_sequence"] == []
-    # one window per distinct block, and no member is built or keyed
-    blocks = {block for cls in u1_classes(7) for block in cls.u1_key}
-    assert sorted(args[0] for args in calls["validate_sequence"]) == sorted(
-        (1,) + block + (1,) for block in blocks
+    assert calls == [[]] * 5
+
+
+def test_cache_checks_block_entry_types(tmp_path):
+    # JSON's 2.0 equals and hashes like 2, so only the type check tells the
+    # block [2.0] from [2]; a block holding true is no block of level 3
+    cache = CatalogCache(tmp_path)
+    fresh = run_catalog(["--n", "3", "--no-cache"])
+    assert run_catalog(["--n", "3", "--cache-dir", str(tmp_path)]) == fresh
+    text = cache.path(3).read_text(encoding="utf-8")
+    assert '"classes": [[], [[2]], [[2, 3]]]' in text
+    for block in ("[2.0]", "[true]", "[2, true]"):
+        cache.path(3).write_text(text.replace("[[2]]", f"[{block}]"), encoding="utf-8")
+        assert cache.load(3) is None, block
+        assert run_catalog(["--n", "3", "--cache-dir", str(tmp_path)]) == fresh
+        assert cache.path(3).read_text(encoding="utf-8") == text
+
+
+def test_counts_are_checked_against_the_closed_forms(monkeypatch):
+    # both generators check their count at every level, past the n <= 5 of
+    # KNOWN_DELTA; a count that leaves the closed form exits 3 and prints
+    # nothing
+    marked_count, deltas = catalog._marked_count, catalog._deltas
+    cases = (
+        ("_marked_count", lambda n: marked_count(n) + (n == 9), ["--classes", "marked"]),
+        ("_deltas", lambda n: deltas(n)[:-1] + [deltas(n)[-1] + 1], ["--no-cache"]),
     )
-    assert calls["u1_key"] == []
+    for name, wrong, argv in cases:
+        enumerate_marked.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(catalog, name, wrong)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(["catalog", "--n", "9", *argv]) == 3
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("internal invariant violation: "), err.getvalue()
+        assert "n = 9: " in err.getvalue()
+    enumerate_marked.cache_clear()
+    assert len(enumerate_marked(9)) == marked_count(9) == 2438
+    assert len(u1_classes(9)) == deltas(9)[9]
 
 
 def test_cache_file_schema(tmp_path):
