@@ -48,14 +48,16 @@ FIBONACCI_TABLE = {
 
 
 #: The largest level the enumeration serves.  Level 14 has C_14 = 2,674,440
-#: sequences and 604,297 classes; u1_classes(14) takes about 8 s and 660 MB
-#: of peak RSS, and enumerate_marked(14) in a fresh CLI process about 4.4 s
-#: and 540 MB (2-core VM, CPython 3.11); each further level costs about 3.5
-#: times more.
+#: sequences and 604,297 classes; u1_classes(14) takes 8-11 s and 660 MB of
+#: peak RSS, and enumerate_marked(14) in a fresh CLI process 5.3-7.0 s and
+#: 462 MB (2-core shared VM, CPython 3.11); each further level costs about
+#: 3.5 times more.
 _MAX_LEVEL = 14
 
 
 def _check_level(n: int) -> None:
+    if n < 0:
+        raise InvalidParameterError("n must be nonnegative")
     if n > _MAX_LEVEL:
         raise InvalidParameterError(f"n = {n} is above the enumeration limit n <= {_MAX_LEVEL}")
 
@@ -70,11 +72,13 @@ def _check_family(n: int) -> None:
         raise InvalidParameterError(f"n = {n} is above the family limit n <= {_MAX_FAMILY}")
 
 
-@lru_cache(maxsize=None)
-def enumerate_marked(n: int) -> tuple[tuple[int, ...], ...]:
-    """All level-n sequences reachable from (1), one representative per
-    reversal class, sorted.  Level sets are memoized, so walking up through
-    the levels costs each level once.
+def _mediant_stop(p: tuple[int, ...]) -> int:
+    """The end of the mediant range of an oriented sequence p: in the
+    canonical augmentation (McKay, J. Algorithms 26, 1998) that
+    :func:`enumerate_marked` and :func:`_windows` walk, the children of p are
+    (1,) + p and the mediants at adjacencies 1 <= i < stop.  The callers
+    settle p == (1,) (stop 1) and p[1] == 1 (stop 2); otherwise stop = j + 2
+    at the first interior mediant j, and len(p) = 2 for (1, 1).
 
     Each sequence is generated once, from one parent: itself with its
     leftmost removable entry deleted.  In a sequence p, entry 0 is removable
@@ -84,77 +88,82 @@ def enumerate_marked(n: int) -> tuple[tuple[int, ...], ...]:
     entry, p[:-1] would have the same p[1], and the interior mediant of
     p[:-1] is interior in p), so the last entry is never the leftmost
     removable one, and no child comes from appending a 1.  Let r be the
-    leftmost removable position of p: 0 when p == (1,) or p[1] == 1, else
-    the first interior j with p[j] == p[j-1] + p[j+1].  The prepended child
-    (1,) + p has its leftmost removable entry at 0.  A mediant inserted at
-    adjacency i is removable and leaves positions before i - 1 as they were
-    in p, while the entry to its left, now beside a larger neighbor, cannot
-    be removable; so the mediant is the child's leftmost removable entry
-    exactly when i <= r + 1.  The adjacencies of p are 1..last, last =
-    len(p) - 1, so the scan for r sets the end of the mediant range directly:
-    stop = min(r + 1, last) + 1, which is 1 for p == (1,), 2 when p[1] == 1
-    and j + 2 at the first interior mediant j, and each child with
-    1 <= i < stop is generated.  So every level-n sequence comes from exactly
-    one oriented level-(n-1) parent, and of a child and its reversal (each
-    generated once) only the lesser is kept.  No set is needed.
-
-    Which of the two is the lesser is mostly decided before the child is
-    built.  Every sequence c starts and ends with 1, so c <= c[::-1] is
-    settled by c[1] against c[-2] unless the two are equal, and only such a
-    tie builds the child to compare it in full.  With a, b = p[1], p[-2],
-    the prepended child has the pair (1, b), and is kept outright when
-    b > 1.  The mediant x at adjacency i has the pair (x, b) at i = 1, where
-    x = 1 + a, the pair (a, x) at i = last, where x = b + 1, and the pair
-    (a, b) between them: those middle children are all kept when a < b and
-    none is built when a > b.
+    leftmost removable position of p.  The prepended child (1,) + p has its
+    leftmost removable entry at 0.  A mediant inserted at adjacency i is
+    removable and leaves positions before i - 1 as they were in p, while the
+    entry to its left, now beside a larger neighbor, cannot be removable; so
+    the mediant is the child's leftmost removable entry exactly when
+    i <= r + 1.  Over the adjacencies 1..len(p) - 1 that gives stop =
+    min(r + 1, len(p) - 1) + 1, and every level-n sequence comes from
+    exactly one level-(n-1) parent: no set is needed.
     """
-    if n < 0:
-        raise InvalidParameterError("n must be nonnegative")
+    for j in range(1, len(p) - 1):
+        if p[j] == p[j - 1] + p[j + 1]:
+            return j + 2
+    return len(p)
+
+
+@lru_cache(maxsize=None)
+def enumerate_marked(n: int) -> tuple[tuple[int, ...], ...]:
+    """All level-n sequences reachable from (1), one representative per
+    reversal class, sorted.  Each level is built from the sorted previous
+    one, which is then dropped; only the requested level is memoized.
+
+    Every oriented parent p gets its children by :func:`_mediant_stop`, so
+    each oriented child is generated once, and of a child and its reversal
+    only the lesser is kept, mostly decided before the child is built.  A
+    sequence c starts and ends with 1, so c <= c[::-1] is settled by c[1]
+    against c[-2] unless the two are equal, and only such a tie builds the
+    child to compare it in full.  With a, b = p[1], p[-2], the prepended
+    child has the pair (1, b), and is kept outright when b > 1.  The mediant
+    x at adjacency i has the pair (x, b) at i = 1, where x = 1 + a, the pair
+    (a, x) at i = last = len(p) - 1, where x = b + 1, and the pair (a, b)
+    between them: those middle children are all kept when a < b and none is
+    built when a > b.
+    """
     _check_level(n)
-    if n == 0:
-        return ((1,),)
-    level: list[tuple[int, ...]] = []
-    keep = level.append
-    for rep in enumerate_marked(n - 1):
-        for p in (rep,) if rep == rep[::-1] else (rep, rep[::-1]):
-            last = len(p) - 1
-            if last == 0:
-                keep((1, 1))
-                continue
-            a, b = p[1], p[-2]
-            child = (1,) + p
-            if b > 1 or child <= child[::-1]:
-                keep(child)
-            # at p == (1, 1) the mediant 2 takes both places of the pair
-            x = 1 + a
-            if x <= b or last == 1:
-                child = (1, x) + p[1:]
-                if x < b or child <= child[::-1]:
+    level = [(1,)]
+    for j in range(1, n + 1):
+        parents, level = level, []
+        keep = level.append
+        for rep in parents:
+            for p in (rep,) if rep == rep[::-1] else (rep, rep[::-1]):
+                last = len(p) - 1
+                if last == 0:
+                    keep((1, 1))
+                    continue
+                a, b = p[1], p[-2]
+                child = (1,) + p
+                if b > 1 or child <= child[::-1]:
                     keep(child)
-            if a == 1:
-                continue
-            stop = last + 1
-            for j in range(1, last):
-                if p[j] == p[j - 1] + p[j + 1]:
-                    stop = j + 2
-                    break
-            if a < b:
-                level += [p[:i] + (p[i - 1] + p[i],) + p[i:] for i in range(2, min(stop, last))]
-            elif a == b:
-                for i in range(2, min(stop, last)):
-                    child = p[:i] + (p[i - 1] + p[i],) + p[i:]
-                    if child <= child[::-1]:
+                # at p == (1, 1) the mediant 2 takes both places of the pair
+                x = 1 + a
+                if x <= b or last == 1:
+                    child = (1, x) + p[1:]
+                    if x < b or child <= child[::-1]:
                         keep(child)
-            if stop > last and a <= b + 1:
-                child = p[:-1] + (b + 1, 1)
-                if a <= b or child <= child[::-1]:
-                    keep(child)
-    level.sort()
-    if len(level) != _marked_count(n):
-        raise InternalInvariantError(
-            f"enumerate_marked: n = {n}: generated {len(level)} reversal classes, "
-            f"expected (C_n + p_n)/2 = {_marked_count(n)}"
-        )
+                if a == 1:
+                    continue
+                stop = _mediant_stop(p)
+                if a < b:
+                    level += [
+                        p[:i] + (p[i - 1] + p[i],) + p[i:] for i in range(2, min(stop, last))
+                    ]
+                elif a == b:
+                    for i in range(2, min(stop, last)):
+                        child = p[:i] + (p[i - 1] + p[i],) + p[i:]
+                        if child <= child[::-1]:
+                            keep(child)
+                if stop > last and a <= b + 1:
+                    child = p[:-1] + (b + 1, 1)
+                    if a <= b or child <= child[::-1]:
+                        keep(child)
+        level.sort()
+        if len(level) != _marked_count(j):
+            raise InternalInvariantError(
+                f"enumerate_marked: n = {j}: generated {len(level)} reversal classes, "
+                f"expected (C_n + p_n)/2 = {_marked_count(j)}"
+            )
     return tuple(level)
 
 
@@ -294,7 +303,7 @@ def _windows(n: int) -> Iterator[list[tuple[int, ...]]]:
     |B| + 1 = j.
 
     Windows are closed under the canonical augmentation of
-    :func:`enumerate_marked`.  The second entry of a window of weight j >= 2
+    :func:`_mediant_stop`.  The second entry of a window of weight j >= 2
     is not 1, so its leftmost removable entry is an interior mediant, and
     deleting it leaves a window of weight j - 1, down to (1, 1).  A
     prepended 1 would sit inside, and an inserted mediant exceeds 1, so the
@@ -303,17 +312,9 @@ def _windows(n: int) -> Iterator[list[tuple[int, ...]]]:
     weight's windows are kept."""
     windows = [(1, 1)]
     for _ in range(n - 1):
-        children: list[tuple[int, ...]] = []
-        keep = children.append
-        for p in windows:
-            stop = len(p)
-            for j in range(1, stop - 1):
-                if p[j] == p[j - 1] + p[j + 1]:
-                    stop = j + 2
-                    break
-            for i in range(1, stop):
-                keep(p[:i] + (p[i - 1] + p[i],) + p[i:])
-        windows = children
+        windows = [
+            p[:i] + (p[i - 1] + p[i],) + p[i:] for p in windows for i in range(1, _mediant_stop(p))
+        ]
         yield windows
 
 
@@ -347,8 +348,6 @@ def u1_classes(n: int) -> list[CatalogClass]:
     """The level-n circle-action classes, one per block multiset, sorted by
     canonical member; delta(n) is their number, checked against the closed
     form of :func:`growth_report`."""
-    if n < 0:
-        raise InvalidParameterError("n must be nonnegative")
     _check_level(n)
     classes = _build_classes(n, _block_keys(n))
     expected = _deltas(n)[n]

@@ -36,7 +36,7 @@ from .errors import (
     InvalidParameterError,
     InvalidSequenceError,
 )
-from .exact import format_scalar, parse_scalar
+from .exact import _parse_int, format_scalar, parse_scalar
 from .invariants import analyze_sequence, restriction_multiplicities, sequence_summary
 from .model import minitwistor_model
 from .render import (
@@ -52,7 +52,7 @@ from .render import (
 
 def _parse_sequence(text: str) -> tuple[int, ...]:
     try:
-        seq = tuple(int(token) for token in text.split(","))
+        seq = tuple(_parse_int(token) for token in text.split(","))
     except ValueError as exc:
         raise InvalidSequenceError("entries must be positive integers") from exc
     return seq

@@ -114,7 +114,7 @@ def rhs_polynomial(
     if m > _MAX_M:
         raise InvalidParameterError(f"m = {m} is above the model limit m <= {_MAX_M}")
     validate_lambdas(lambdas, n)
-    if c_sign not in (1, -1):
+    if type(c_sign) is not int or c_sign not in (1, -1):
         raise InvalidParameterError("c must be +1 or -1")
     if sum(lvec) % 2:
         raise InvalidParameterError("multiplicities must sum to an even number")

@@ -4,6 +4,7 @@ test modules."""
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from pathlib import Path
 
 from minitwistor import (
@@ -72,6 +73,38 @@ def marked_by_insertion(n_max):
         level = {reversal_canonical(child) for parent in levels[-1] for child in insertions(parent)}
         levels.append(tuple(sorted(level)))
     return levels
+
+
+def west_children(p, k):
+    """The children of an oriented sequence p of label k in West's Catalan
+    generating tree (J. West, Discrete Math. 146, 1995), with their labels:
+    (1,) + p with label 2, and the mediant at adjacency i with label i + 2
+    for 1 <= i < k.  The root (1,) has label 1."""
+    yield (1,) + p, 2
+    for i in range(1, k):
+        yield p[:i] + (p[i - 1] + p[i],) + p[i:], i + 2
+
+
+@lru_cache(maxsize=None)
+def tree_count(k, d):
+    """N(k, d), the descendants d levels below a node of label k:
+    N(k, 0) = 1 and N(k, d) = sum_{j=2}^{k+1} N(j, d - 1)."""
+    return 1 if d == 0 else sum(tree_count(j, d - 1) for j in range(2, k + 2))
+
+
+def west_sample(n, rng):
+    """A uniformly random oriented level-n sequence: a walk from (1) down
+    West's generating tree that takes each child with probability
+    proportional to its level-n descendants, drawn exactly in integers."""
+    p, k = (1,), 1
+    for d in range(n - 1, -1, -1):
+        pick = rng.randrange(tree_count(k, d + 1))
+        for p_child, k_child in west_children(p, k):
+            pick -= tree_count(k_child, d)
+            if pick < 0:
+                break
+        p, k = p_child, k_child
+    return p
 
 
 def restriction_oracle(trace):

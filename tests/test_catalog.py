@@ -28,7 +28,7 @@ from minitwistor import (
     u1_key,
 )
 from minitwistor import catalog
-from minitwistor.catalog import _build_classes, _windows
+from minitwistor.catalog import _build_classes, _mediant_stop, _windows
 from minitwistor.invariants import (
     _multiplicities,
     l_vector,
@@ -49,6 +49,9 @@ from support import (
     marked_by_insertion,
     oriented_sequences,
     reversal_canonical,
+    tree_count,
+    west_children,
+    west_sample,
 )
 
 #: marked sequences up to reversal, frozen from the generator (regression)
@@ -144,6 +147,57 @@ def test_windows_match_the_filtered_levels():
     assert list(_windows(1)) == list(_windows(0)) == []
 
 
+def leftmost_removable_parent(c):
+    """c with its leftmost removable entry deleted, from the definition: entry
+    0 when c[1] == 1, an interior entry when it is the mediant of its
+    neighbors, the last entry when c[-2] == 1."""
+    last = len(c) - 1
+    removable = [0] if c[1] == 1 else []
+    removable += [j for j in range(1, last) if c[j] == c[j - 1] + c[j + 1]]
+    removable += [last] if c[-2] == 1 else []
+    r = min(removable)
+    return c[:r] + c[r + 1 :]
+
+
+def generating_tree_label(p):
+    """stop(p), with the two cases the generators settle before the scan."""
+    if p == (1,):
+        return 1
+    return 2 if p[1] == 1 else _mediant_stop(p)
+
+
+def test_mediant_stop_is_the_generating_tree_label():
+    # grouped by the parent the definition gives them, the oriented children
+    # of each oriented p, levels 0..10, are West's children of a node of
+    # label stop(p): stop(p) of them, (1,) + p with label 2 and the mediant
+    # at adjacency i with label i + 2
+    for n in range(11):
+        children = {}
+        for c in oriented_sequences(n + 1):
+            children.setdefault(leftmost_removable_parent(c), set()).add(c)
+        assert set(children) == set(oriented_sequences(n)), n
+        for p, kids in children.items():
+            k = generating_tree_label(p)
+            tree = set(west_children(p, k))
+            assert len(tree) == len(kids) == k, p
+            assert tree == {(c, generating_tree_label(c)) for c in kids}, p
+
+
+def test_generating_tree_counts_are_catalan():
+    for n in range(13):
+        assert tree_count(1, n) == comb(2 * n, n) // (n + 1), n
+
+
+def test_generating_tree_sampler_reaches_every_sequence():
+    rng = random.Random(2024)
+    draws = {west_sample(6, rng) for _ in range(3000)}
+    assert draws == set(oriented_sequences(6)) and len(draws) == 132
+    assert west_sample(0, rng) == (1,)
+    for _ in range(20):
+        seq = west_sample(100, rng)
+        assert len(seq) == 101 and is_valid_sequence(seq), seq
+
+
 def test_enumerate_marked_is_the_only_memo(count_calls):
     # the benchmark clears this one memo to make each catalog miss cold
     memos = set()
@@ -167,12 +221,15 @@ def test_enumerate_marked_is_the_only_memo(count_calls):
     u1_classes(6)
     assert enumerate_marked.cache_info() == cold and cold.currsize == 0
     assert calls == []
+    # the levels are built in a loop, not by recursion through the memo, so
+    # a request memoizes only its own level
     enumerate_marked(5)
     warm = enumerate_marked.cache_info()
-    calls.clear()
+    assert warm.currsize == 1
+    assert calls == []
     for n in range(9):
         u1_classes(n)
-    assert enumerate_marked.cache_info() == warm and warm.currsize == 6
+    assert enumerate_marked.cache_info() == warm
     assert calls == []
 
 
@@ -181,8 +238,9 @@ def test_level_limit_is_checked_before_any_work(count_calls):
     for call, n in ((enumerate_marked, 15), (u1_classes, 15), (growth_report, 5000)):
         with pytest.raises(InvalidParameterError, match="limit n <= 14"):
             call(n)
-    with pytest.raises(InvalidParameterError, match="nonnegative"):
-        u1_classes(-1)
+    for call in (enumerate_marked, u1_classes, growth_report):
+        with pytest.raises(InvalidParameterError, match="nonnegative"):
+            call(-1)
     # the direct call goes through this module's unwrapped binding, so an
     # empty list means no recursion and no call from the others
     assert calls == []
@@ -782,6 +840,12 @@ def test_counts_are_checked_against_the_closed_forms(monkeypatch):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("internal invariant violation: "), err.getvalue()
         assert "n = 9: " in err.getvalue()
+    # the levels below the requested one are gated too
+    enumerate_marked.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(catalog, "_marked_count", lambda n: marked_count(n) + (n == 5))
+        with pytest.raises(InternalInvariantError, match="n = 5: generated 22 "):
+            enumerate_marked(9)
     enumerate_marked.cache_clear()
     assert len(enumerate_marked(9)) == marked_count(9) == 2438
     assert len(u1_classes(9)) == deltas(9)[9]

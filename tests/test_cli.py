@@ -402,6 +402,21 @@ def test_lambda_past_the_str_to_int_limit():
     assert report["lambdas"] == ["0", "1", digits, "inf"]
 
 
+def test_sequence_entry_past_the_str_to_int_limit(capsys):
+    # a 5000-digit entry is read past CPython's 4300-digit str-to-int limit,
+    # so it fails the rule it breaks, as a 50-digit entry does, not the parse
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        for digits in (50, 5000):
+            assert main(["analyze", "--seq", f"1,{'7' * digits},1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "ray chain breaks at k_4" in captured.err, digits
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_malformed_long_lambda_message_is_short(capsys):
     token = "1" * 4999 + "x"
     assert main(["equation", "--seq", "1,2,1", "--lambda", f"0,1,{token},inf"]) == 2

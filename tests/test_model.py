@@ -186,8 +186,13 @@ def test_rhs_matches_sympy_expand():
 def test_rhs_rejects_bad_inputs():
     with pytest.raises(InvalidParameterError):
         rhs_polynomial((2, 0, 1), default_lambdas(1))
+    # c is the int 1 or -1: True would print as "c_sign": true, and 1.0
+    # would reach the integer expansion
+    for c_sign in (2, True, 1.0):
+        with pytest.raises(InvalidParameterError):
+            rhs_polynomial((1, 0, 1), default_lambdas(1), c_sign=c_sign)
     with pytest.raises(InvalidParameterError):
-        rhs_polynomial((1, 0, 1), default_lambdas(1), c_sign=2)
+        minitwistor_model((1, 2, 1), None, True)
 
 
 def test_rhs_limit_is_checked_before_the_expansion(count_calls):
