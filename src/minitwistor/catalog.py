@@ -5,15 +5,19 @@ Level n sequences are generated from the base sequence (1) by mediant
 insertions: prepend 1, append 1, or insert k_i + k_{i+1} at an adjacency.
 Marked actions are identified up to reversal; circle actions are identified
 by the coarser connected-sum relation described at :func:`u1_key`, whose
-classes are the multisets of blocks of entries > 1.  :func:`u1_classes`
-builds them from the blocks, which it generates directly as the windows
-(1, B, 1) by the canonical augmentation :func:`enumerate_marked` uses,
-without enumerating a level, and with every listed field in closed form;
-members are arranged only when asked for.  Both counts, the reversal
-classes and delta(n), are counted in closed form by :func:`growth_report`,
-and both generators are gated on them at every level; the three named
-families (semi-free-containing, involution-isotropy, maximal-step) are
-written down in closed form.
+classes are the multisets of blocks of entries > 1.  The classes come from
+their block multiset keys, which :func:`_block_keys` builds in canonical
+order from the blocks, generated directly as the windows (1, B, 1) by the
+canonical augmentation :func:`enumerate_marked` uses, without enumerating a
+level.  Every listed field is in closed form from a key
+(:func:`_class_fields`): the text listing is written from the keys with no
+record per class, :func:`u1_classes` builds records for the library and the
+JSON listing, and members are arranged only when asked for.  Both counts,
+the reversal classes and delta(n), are counted in closed form by
+:func:`growth_report`; both generators are gated on them at every level,
+and a cache hit proves it holds every class by counting delta(n) keys.  The
+three named families (semi-free-containing, involution-isotropy,
+maximal-step) are written down in closed form.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, permutations, product
 from math import comb, factorial, perm
-from operator import attrgetter, sub
+from operator import sub
 from pathlib import Path
 
 from .errors import InternalInvariantError, InvalidParameterError, invariant_violation
@@ -48,10 +52,11 @@ FIBONACCI_TABLE = {
 
 
 #: The largest level the enumeration serves.  Level 14 has C_14 = 2,674,440
-#: sequences and 604,297 classes; u1_classes(14) takes 8-11 s and 660 MB of
-#: peak RSS, and enumerate_marked(14) in a fresh CLI process 5.3-7.0 s and
-#: 462 MB (2-core shared VM, CPython 3.11); each further level costs about
-#: 3.5 times more.
+#: sequences and 604,297 classes.  In a fresh CLI process the text listing
+#: catalog --n 14 takes 6.9-8.2 s and 293 MB of peak RSS, and
+#: enumerate_marked(14) 5.3-7.0 s and 462 MB; u1_classes(14), which builds
+#: a record per class, takes about 12.7 s and 543 MB (2-core shared VM,
+#: CPython 3.11).  Each further level costs about 3.5 times more.
 _MAX_LEVEL = 14
 
 
@@ -176,7 +181,7 @@ def u1_key(seq: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     sorted multiset of blocks, each block canonicalized up to reversal.  The
     all-ones sequence has the empty key.  This relation reproduces the known
     counts delta(4) = 7 and delta(5) = 15 (the finer run-length word fails at
-    n = 5), and it is gated on them at runtime.  :func:`u1_classes` builds
+    n = 5), and it is gated on them at runtime.  :func:`_block_keys` builds
     the keys themselves and a cache hit checks them block by block, so
     neither calls this function: it keys a given sequence, for callers and
     as the tests' oracle.
@@ -243,57 +248,61 @@ class CatalogClass(Record):
         return tuple(members)
 
 
-def _build_classes(n: int, keys: list[tuple[tuple[int, ...], ...]]) -> list[CatalogClass]:
-    """One class per block multiset key of weight <= n, sorted by canonical
-    member, every field in closed form from the key's blocks B_1 <= ... <=
-    B_t, with no analysis and no member.  A miss and a cache hit both build
-    their classes here, so a hit's fields are the miss's.
-
-    Each distinct block B is read once, into its piece B + (1,), its
-    fragment frag(B) = (B[0] - 1, |B[1] - B[0]|, ..., B[-1] - 1) of absolute
-    differences across the window (1, B, 1), its share m_B - 1 =
-    sum frag(B) / 2 of the class's step count, and whether it differs from
-    its reversal.  A class joins its blocks' pieces.  With
-    w = sum (|B| + 1) and lead = n + 1 - w spare ones:
+def _class_fields(n: int, keys: list[tuple[tuple[int, ...], ...]]) -> Iterator[tuple]:
+    """Per block multiset key, in the given order: its canonical member as
+    text, member_count, m and slack, every one in closed form from the rows
+    of :func:`_block_table` for the key's blocks B_1 <= ... <= B_t, with no
+    analysis and no member.  The text listing writes these fields as they
+    come, and :func:`_build_classes` reads them into its records, so each
+    field has this one formula.  With w = sum (|B| + 1) and lead = n + 1 - w
+    spare ones:
 
     - canonical = (1,) * lead + B_1 + (1,) + ... + B_t + (1,), the least
       member: a block followed by a one is never a prefix of another, so key
       order is the least order of the blocks;
-    - l = (1, 0, ..., 0, frag(B_1), ..., frag(B_t), 1), with lead - 1 zeros:
-      the absolute differences of (0, canonical, 0);
-    - m = sum l / 2 = 1 + sum_B (m_B - 1);
+    - m = sum l / 2 = 1 + sum_B (m_B - 1), where l, the absolute differences
+      of (0, canonical, 0), is (1, 0, ..., 0, frag(B_1), ..., frag(B_t), 1)
+      with lead - 1 zeros and frag(B) the absolute differences across the
+      window (1, B, 1), and the share m_B - 1 = sum frag(B) / 2;
     - slack = n - sum |B| - t = lead - 1, and None for the empty key;
     - member_count = C(lead - 1 + t, t) * t! / prod c_B! * 2^f: the blocks go
       into t of the lead - 1 + t gaps between the lead + t ones, in
       t! / prod c_B! orders (c_B the multiplicity of B), and each of the f
       blocks that is not a palindrome in both of its orientations.
     """
-    data = {}
-    for block in {block for key in keys for block in key}:
-        window = (1,) + block + (1,)
-        frag = tuple(map(abs, map(sub, window[1:], window)))
-        data[block] = (block + (1,), frag, sum(frag) // 2, block != block[::-1])
-    classes = []
+    table = _block_table({block for key in keys for block in key})
+    ones = ["1" + ",1" * lead for lead in range(n + 1)]
     for key in keys:
-        tail = frags = ()
-        steps = flips = 0
+        tail = ""
+        m = 1
+        flips = size = 0
         for block in key:
-            piece, frag, more, flip = data[block]
+            piece, share, flip = table[block]
             tail += piece
-            frags += frag
-            steps += more
+            m += share
             flips += flip
+            size += len(block)
         t = len(key)
-        lead = n + 1 - len(tail)
+        lead = n + 1 - size - t
         count = perm(lead - 1 + t, t) << flips
-        if len(set(key)) < t:
+        if t > 1 and len(set(key)) < t:
             # a repeated block: divide out the orders of its copies
             for block in set(key):
                 count //= factorial(key.count(block))
-        canonical = (1,) * lead + tail
-        l = (1,) + (0,) * (lead - 1) + frags + (1,)
-        classes.append(CatalogClass(canonical, key, 1 + steps, l, lead - 1 if key else None, count))
-    classes.sort(key=attrgetter("canonical"))
+        yield ones[lead - 1] + tail, count, m, lead - 1 if t else None
+
+
+def _build_classes(n: int, keys: list[tuple[tuple[int, ...], ...]]) -> list[CatalogClass]:
+    """One record per block multiset key, in the keys' order, from the
+    fields of :func:`_class_fields`; canonical is read back from its text,
+    and l is the absolute differences of (0, canonical, 0).  Only the
+    library and the JSON listing build records: the text listing writes the
+    fields straight away."""
+    classes = []
+    for key, (text, count, m, slack) in zip(keys, _class_fields(n, keys)):
+        canonical = tuple(map(int, text.split(",")))
+        l = tuple(map(abs, map(sub, canonical + (0,), (0,) + canonical)))
+        classes.append(CatalogClass(canonical, key, m, l, slack, count))
     return classes
 
 
@@ -331,17 +340,51 @@ def _blocks(n: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _block_keys(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Every multiset of blocks with sum (|B| + 1) <= n, as a sorted tuple.
+def _block_table(blocks) -> dict[tuple[int, ...], tuple[str, int, bool]]:
+    """Each block's row: its piece ",B[0],...,B[-1],1" of the canonical
+    text, its share m_B - 1 = sum frag(B) / 2 of the class's step count (see
+    :func:`_class_fields`) and whether it differs from its reversal."""
+    return {
+        block: (
+            ",%d" * len(block) % block + ",1",
+            sum(map(abs, map(sub, window[1:], window))) // 2,
+            block != block[::-1],
+        )
+        for block in blocks
+        for window in [(1,) + block + (1,)]
+    }
 
-    Taking the blocks in order, each any number of times (an unbounded
-    knapsack over the weight), builds each multiset once and sorted."""
+
+def _block_keys(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every multiset of blocks with sum (|B| + 1) <= n, as a sorted tuple,
+    in canonical order, which is (weight, key) order: the weight
+    sum (|B| + 1) fixes the leading ones of the canonical member (see
+    :func:`_class_fields`).  Checked against delta(n) from the closed form
+    of :func:`growth_report`.
+
+    Taking the blocks in decreasing order, each any number of times (an
+    unbounded knapsack over the weight), builds each multiset once, sorted:
+    a block goes in front of keys whose blocks are no less, and the keys it
+    makes are less than every key already in their weight's list, in the
+    reverse order of the keys they extend.  So each list is built in
+    decreasing order, and read reversed."""
     by_weight: list[list[tuple[tuple[int, ...], ...]]] = [[()]] + [[] for _ in range(n)]
-    for block in sorted(_blocks(n)):
+    for block in sorted(_blocks(n), reverse=True):
+        head = (block,)
         weight = len(block) + 1
-        for total in range(weight, n + 1):
-            by_weight[total] += [key + (block,) for key in by_weight[total - weight]]
-    return [key for keys in by_weight for key in keys]
+        by_weight[weight].append(head)
+        # no key weighs 1, and most weights have no key yet
+        for total in range(weight + 2, n + 1):
+            if keys := by_weight[total - weight]:
+                by_weight[total] += [head + key for key in keys]
+    keys = [key for keys in by_weight for key in reversed(keys)]
+    expected = _deltas(n)[n]
+    if len(keys) != expected:
+        raise InternalInvariantError(
+            f"u1_classes: n = {n}: equivalence relation produced delta({n}) = {len(keys)}, "
+            f"expected {expected}"
+        )
+    return keys
 
 
 def u1_classes(n: int) -> list[CatalogClass]:
@@ -349,14 +392,7 @@ def u1_classes(n: int) -> list[CatalogClass]:
     canonical member; delta(n) is their number, checked against the closed
     form of :func:`growth_report`."""
     _check_level(n)
-    classes = _build_classes(n, _block_keys(n))
-    expected = _deltas(n)[n]
-    if len(classes) != expected:
-        raise InternalInvariantError(
-            f"u1_classes: n = {n}: equivalence relation produced delta({n}) = {len(classes)}, "
-            f"expected {expected}"
-        )
-    return classes
+    return _build_classes(n, _block_keys(n))
 
 
 def family_lebrun(n: int) -> list[SequenceAnalysis]:
@@ -500,15 +536,17 @@ class CatalogCache:
     ~/.cache/minitwistor.
 
     A version-4 file is ``{"version": 4, "n": n, "classes": [key, ...]}``,
-    one block multiset key per class.  Every field of a class derives from
-    its key, so a hit builds its classes with the builder a miss uses.  load
-    checks that each distinct block is one of the miss's own blocks, with
-    entries of type int (JSON's 2.0 equals and hashes like 2), that each key
-    is sorted, that no key is heavier than n and that the keys are distinct,
-    and that the member counts add up to the Catalan number C_n of level-n
-    sequences, which proves that no class is missing.  The keys are then
-    exactly the miss's.  Any failure, and any file of another version, is a
-    miss.
+    one block multiset key per class, in canonical order.  Every field of a
+    class derives from its key, so a hit writes its listing from the keys,
+    as a miss does.  load parses no float and no NaN or infinity, and checks
+    that each distinct block is one of the miss's own blocks (whose entries
+    all exceed 1, so no boolean passes), that each key is sorted, that no
+    key is heavier than n and that the keys are distinct.  Such keys are
+    distinct members of the set of all block multisets of weight <= n, which
+    has delta(n) members; so there are delta(n) of them exactly when none is
+    missing, and then they are the miss's keys.  load returns them in
+    canonical order, whatever their order in the file.  Any failure, and any
+    file of another version, is a miss.
     """
 
     VERSION = 4
@@ -521,39 +559,40 @@ class CatalogCache:
     def path(self, n: int) -> Path:
         return self.directory / f"catalog_n{n}.json"
 
-    def load(self, n: int) -> list[CatalogClass] | None:
+    def load(self, n: int) -> list[tuple[tuple[int, ...], ...]] | None:
         # a level outside 0..14 has no classes to load; a missing,
         # unreadable, truncated, too deeply nested or wrongly shaped file is
-        # a miss
+        # a miss, and so is a float, NaN or infinity anywhere in it
         if not 0 <= n <= _MAX_LEVEL:
             return None
         try:
-            data = json.loads(self.path(n).read_text(encoding="utf-8"))
+            data = json.loads(
+                self.path(n).read_text(encoding="utf-8"),
+                parse_float=_reject_number,
+                parse_constant=_reject_number,
+            )
             if data["version"] != self.VERSION or data["n"] != n:
                 return None
             keys = [tuple(map(tuple, key)) for key in data["classes"]]
             blocks = {block for key in keys for block in key}
         except (OSError, ValueError, LookupError, TypeError, RecursionError):
             return None
-        if any(type(entry) is not int for block in blocks for entry in block):
+        if len(keys) != _deltas(n)[n] or not blocks <= set(_blocks(n)):
             return None
-        if not blocks <= set(_blocks(n)):
+        weights = [sum(map(len, key)) + len(key) for key in keys]
+        if max(weights) > n or len(set(keys)) != len(keys):
             return None
-        if len(set(keys)) != len(keys) or any(
-            list(key) != sorted(key) or sum(map(len, key)) + len(key) > n for key in keys
-        ):
+        if any(key != tuple(sorted(key)) for key in keys if len(key) > 1):
             return None
-        classes = _build_classes(n, keys)
-        total = sum(cls.member_count for cls in classes)
-        return classes if total == _catalan(n) else None
+        return [key for _, key in sorted(zip(weights, keys))]
 
-    def store(self, n: int, classes: list[CatalogClass]) -> Path | None:
+    def store(self, n: int, keys: list[tuple[tuple[int, ...], ...]]) -> Path | None:
         path = self.path(n)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
         except OSError:
             return None
-        payload = {"version": self.VERSION, "n": n, "classes": [cls.u1_key for cls in classes]}
+        payload = {"version": self.VERSION, "n": n, "classes": keys}
         # write beside the target and rename over it, so a reader never sees
         # a partly written file
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -566,13 +605,24 @@ class CatalogCache:
         return path
 
 
+def _reject_number(text: str):
+    raise ValueError(f"not an integer: {text}")
+
+
+def _u1_keys(n: int, cache: CatalogCache | None) -> list[tuple[tuple[int, ...], ...]]:
+    """The level-n block multiset keys in canonical order, read through the
+    cache when one is given; a negative n, or one above the enumeration
+    limit, is rejected before any file is read."""
+    _check_level(n)
+    keys = None if cache is None else cache.load(n)
+    if keys is None:
+        keys = _block_keys(n)
+        if cache is not None:
+            cache.store(n, keys)
+    return keys
+
+
 def u1_classes_cached(n: int, cache: CatalogCache | None = None) -> list[CatalogClass]:
     """u1_classes with a read-through JSON cache; a negative n, or one above
     the enumeration limit, is rejected before any file is read."""
-    if cache is None or not 0 <= n <= _MAX_LEVEL:
-        return u1_classes(n)
-    classes = cache.load(n)
-    if classes is None:
-        classes = u1_classes(n)
-        cache.store(n, classes)
-    return classes
+    return _build_classes(n, _u1_keys(n, cache))

@@ -182,6 +182,11 @@ def _cmd_schedule(args: argparse.Namespace) -> str:
 
 def _cmd_catalog(args: argparse.Namespace) -> str:
     n = args.n
+    if args.cache_dir is not None and (args.classes == "marked" or args.no_cache):
+        # the marked listing reads no cache; --no-cache with --classes marked
+        # stays accepted, as it always was
+        other = "--classes marked" if args.classes == "marked" else "--no-cache"
+        raise InvalidParameterError(f"--cache-dir has no effect with {other}")
     if args.classes == "marked":
         reps = cat.enumerate_marked(n)
         if args.format == "json":
@@ -192,9 +197,9 @@ def _cmd_catalog(args: argparse.Namespace) -> str:
         rows = [",".join(map(_DECIMAL.__getitem__, rep)) for rep in reps]
         return "\n  ".join([header, *rows]) + "\n"
     cache = None if args.no_cache else cat.CatalogCache(args.cache_dir)
-    classes = cat.u1_classes_cached(n, cache)
     if args.format == "json":
         # members are built here, by arrangement, and nowhere on the text path
+        classes = cat.u1_classes_cached(n, cache)
         rows = [
             {
                 "canonical": cls.canonical, "l": cls.l, "m": cls.m, "members": cls.members,
@@ -203,11 +208,12 @@ def _cmd_catalog(args: argparse.Namespace) -> str:
             for cls in classes
         ]
         return dumps({"n": n, "delta": len(classes), "classes": rows})
-    header = f"n = {n}: delta = {len(classes)} circle-action classes"
+    # the text listing is written from the keys, with no record per class
+    keys = cat._u1_keys(n, cache)
+    header = f"n = {n}: delta = {len(keys)} circle-action classes"
     rows = [
-        f"{','.join(map(_DECIMAL.__getitem__, cls.canonical))}  members={cls.member_count} "
-        f"m={cls.m} slack={'-' if cls.slack is None else cls.slack}"
-        for cls in classes
+        f"{text}  members={count} m={m} slack={'-' if slack is None else slack}"
+        for text, count, m, slack in cat._class_fields(n, keys)
     ]
     return "\n  ".join([header, *rows]) + "\n"
 

@@ -4,8 +4,10 @@ test modules."""
 from __future__ import annotations
 
 import os
-from functools import lru_cache
+from math import comb
 from pathlib import Path
+
+from hypothesis import strategies as st
 
 from minitwistor import (
     InvalidSequenceError,
@@ -85,11 +87,12 @@ def west_children(p, k):
         yield p[:i] + (p[i - 1] + p[i],) + p[i:], i + 2
 
 
-@lru_cache(maxsize=None)
 def tree_count(k, d):
-    """N(k, d), the descendants d levels below a node of label k:
-    N(k, 0) = 1 and N(k, d) = sum_{j=2}^{k+1} N(j, d - 1)."""
-    return 1 if d == 0 else sum(tree_count(j, d - 1) for j in range(2, k + 2))
+    """N(k, d), the descendants d levels below a node of label k, defined by
+    N(k, 0) = 1 and N(k, d) = sum_{j=2}^{k+1} N(j, d - 1), in closed form:
+    the ballot number k C(2d + k, d) / (2d + k), so that a draw at n = 500
+    needs no recursion 500 levels deep (the tests check the recurrence)."""
+    return k * comb(2 * d + k, d) // (2 * d + k)
 
 
 def west_sample(n, rng):
@@ -105,6 +108,14 @@ def west_sample(n, rng):
                 break
         p, k = p_child, k_child
     return p
+
+
+def west_sequences(max_n):
+    """Hypothesis strategy: a uniformly random oriented sequence by
+    :func:`west_sample`, at a level drawn from 0..max_n.  The walk runs on a
+    ``random.Random`` seeded by hypothesis, whose draws are uniform, where
+    hypothesis's own integers lean towards the ends of their range."""
+    return st.builds(west_sample, st.integers(0, max_n), st.randoms(use_true_random=True))
 
 
 def restriction_oracle(trace):

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from minitwistor import (
     BinaryForm,
@@ -46,7 +47,7 @@ from minitwistor.invariants import (
 
 from minitwistor.render import dumps
 
-from support import insertions, oriented_sequences, restriction_oracle
+from support import insertions, oriented_sequences, restriction_oracle, west_sequences
 
 
 def assert_matches_oracle(seq):
@@ -94,6 +95,69 @@ def test_record_matches_simulation_on_random_paths():
         assert_matches_oracle(
             insertion_path([rng.randrange(2**16) for _ in range(rng.randint(0, 40))])
         )
+
+
+#: The largest m at which the uniform property test also runs the decrement
+#: simulation, whose cost grows with m; a uniform n = 100 draw has m near 10^6.
+SIMULATION_M_CAP = 2000
+
+
+def level_steps(seq):
+    """The decrement trace with each distinct step once, mapped to its
+    multiplicity: the components of {i : k_i >= h}, counted over the levels
+    h they span.  Its size and cost grow with n, whatever m is."""
+    counts = {}
+    levels = sorted(set(seq), reverse=True)
+    for top, below in zip(levels, levels[1:] + [0]):
+        start = None
+        for index, entry in enumerate(seq + (0,), start=2):
+            if entry >= top:
+                start = index if start is None else start
+            elif start is not None:
+                counts[start, index - 1] = counts.get((start, index - 1), 0) + top - below
+                start = None
+    return counts
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seq=west_sequences(500))
+def test_record_matches_n_bounded_oracles_on_uniform_sequences(seq):
+    # uniform draws up to n = 500, where m is far too large to simulate:
+    # every oracle here costs a power of n
+    rec = analyze_sequence(seq)
+    n = rec.n
+    for oriented in (seq, seq[::-1]):
+        fan = fan_from_sequence(oriented)
+        assert sequence_from_fan(fan, 1) == oriented
+        assert sum(self_intersections(fan)) == -3 * n
+    assert rec.rays == fan_from_sequence(seq).rays
+    reg = regularity(seq)
+    assert (rec.regular, rec.r, rec.s, rec.slack, rec.deformable) == (
+        reg.regular, reg.r, reg.s, reg.slack, reg.deformable,
+    )
+    # the trace, compressed: its steps cover index t exactly k_t times, and
+    # the divisor and the restriction accumulate over them with their
+    # multiplicities
+    steps = level_steps(seq)
+    cover = [sum(count for (i, j), count in steps.items() if i <= t <= j) for t in range(2, n + 3)]
+    assert tuple(cover) == seq
+    assert sum(steps.values()) == rec.m
+    plus, minus = [0] * (n + 2), [0] * (n + 2)
+    c, cbar = [0] * (n + 2), [0] * (n + 2)
+    for (i, j), count in steps.items():
+        plus[i - 2] += count
+        minus[j - 1] += count
+        one, conj = restriction_oracle(ReductionTrace(n=n, steps=((i, j),)))
+        c = [a + count * b for a, b in zip(c, one)]
+        cbar = [a + count * b for a, b in zip(cbar, conj)]
+    assert (rec.l_plus, rec.l_minus) == (tuple(plus), tuple(minus))
+    assert restriction_multiplicities(rec) == (tuple(c), tuple(cbar))
+    if rec.m <= SIMULATION_M_CAP:
+        assert_matches_oracle(seq)
+        expanded = {}
+        for step in reduction_steps(seq):
+            expanded[step] = expanded.get(step, 0) + 1
+        assert expanded == steps
 
 
 def record_pairs():

@@ -28,7 +28,7 @@ from minitwistor import (
     u1_key,
 )
 from minitwistor import catalog
-from minitwistor.catalog import _build_classes, _mediant_stop, _windows
+from minitwistor.catalog import _block_keys, _build_classes, _mediant_stop, _windows
 from minitwistor.invariants import (
     _multiplicities,
     l_vector,
@@ -184,6 +184,11 @@ def test_mediant_stop_is_the_generating_tree_label():
 
 
 def test_generating_tree_counts_are_catalan():
+    # the closed form of tree_count obeys its defining recurrence
+    for k in range(1, 25):
+        assert tree_count(k, 0) == 1
+        for d in range(1, 25):
+            assert tree_count(k, d) == sum(tree_count(j, d - 1) for j in range(2, k + 2)), (k, d)
     for n in range(13):
         assert tree_count(1, n) == comb(2 * n, n) // (n + 1), n
 
@@ -565,7 +570,9 @@ def test_cache_round_trip(tmp_path):
     classes = u1_classes_cached(4, cache)
     assert len(classes) == 7
     assert cache.path(4).exists()
-    assert u1_classes_cached(4, cache) == classes == cache.load(4)
+    # load returns the keys, and the hit builds the miss's records from them
+    assert cache.load(4) == [cls.u1_key for cls in classes]
+    assert u1_classes_cached(4, cache) == classes
 
 
 def version_2_payload(n, classes):
@@ -582,6 +589,7 @@ def version_3_payload(n, classes):
 def test_cache_rejects_corruption(tmp_path):
     cache = CatalogCache(tmp_path)
     classes = u1_classes_cached(3, cache)
+    keys = [cls.u1_key for cls in classes]
     good = json.loads(cache.path(3).read_text(encoding="utf-8"))
     assert good["classes"] == [[], [[2]], [[2, 3]]]
 
@@ -597,6 +605,12 @@ def test_cache_rejects_corruption(tmp_path):
         for shape in (5, [5], [[5]], [[["xyz"]]], [[[[2]]]], [{"blocks": []}], [[[2.0]]])
     ]
     texts += [json.dumps(version_2_payload(3, classes)), json.dumps(version_3_payload(3, classes))]
+    # a float, NaN or infinity anywhere fails the parse, even where it
+    # equals the integer
+    texts += [json.dumps(dict(good, version=4.0)), json.dumps(dict(good, n=3.0))]
+    texts += [
+        with_classes([[], [[2]], [[2, value]]]) for value in (3.0, float("nan"), float("inf"))
+    ]
     # then keys that are not the classes of level 3, each caught by one
     # check of load alone
     texts += [
@@ -618,19 +632,20 @@ def test_cache_rejects_corruption(tmp_path):
     for text in texts:
         cache.path(3).write_text(text, encoding="utf-8")
         assert cache.load(3) is None, text
-        assert u1_classes_cached(3, cache) == classes == cache.load(3)
-    # keys in another order are the same classes: the builder sorts them
+        assert u1_classes_cached(3, cache) == classes and cache.load(3) == keys
+    # keys in another order are the same classes: load sorts them
     cache.path(3).write_text(with_classes([[[2, 3]], [], [[2]]]), encoding="utf-8")
-    assert cache.load(3) == classes
+    assert cache.load(3) == keys
     # at level 5: unsorted blocks, and a block holding a one in place of the
     # two blocks it joins
     classes = u1_classes_cached(5, cache)
-    keys = json.loads(cache.path(5).read_text(encoding="utf-8"))["classes"]
+    stored = json.loads(cache.path(5).read_text(encoding="utf-8"))["classes"]
     for old, new in (([[2], [2, 3]], [[2, 3], [2]]), ([[2], [2]], [[2, 1, 2]])):
-        edited = [new if key == old else key for key in keys]
+        edited = [new if key == old else key for key in stored]
         cache.path(5).write_text(json.dumps(dict(good, n=5, classes=edited)), encoding="utf-8")
         assert cache.load(5) is None, new
-        assert u1_classes_cached(5, cache) == classes == cache.load(5)
+        assert u1_classes_cached(5, cache) == classes
+        assert cache.load(5) == [cls.u1_key for cls in classes]
     # a file for a negative level, or one above the limit, is a miss, and
     # the level is rejected before any file is read, by the library and by
     # the CLI
@@ -698,7 +713,7 @@ def test_edited_cache_file_prints_true_classes(tmp_path):
     payload = json.loads(path.read_text(encoding="utf-8"))
     payload["delta"] = 99
     path.write_text(json.dumps(payload), encoding="utf-8")
-    assert CatalogCache(tmp_path).load(7) == u1_classes(7)
+    assert CatalogCache(tmp_path).load(7) == [cls.u1_key for cls in u1_classes(7)]
     assert run_catalog(["--n", "7", "--cache-dir", str(tmp_path)]) == fresh
     # a dropped class, past the n <= 5 that KNOWN_DELTA covers
     del payload["classes"][5]
@@ -724,7 +739,7 @@ def test_member_count_closed_form():
 
 
 def test_cache_hit_prints_what_the_miss_printed(tmp_path, count_calls):
-    calls = count_calls("catalog", "u1_classes")
+    calls = count_calls("catalog", "_block_keys")
     for n in range(8):
         for fmt in ("text", "json"):
             argv = ["--n", str(n), "--format", fmt]
@@ -737,9 +752,9 @@ def test_cache_hit_prints_what_the_miss_printed(tmp_path, count_calls):
 
 
 def test_cache_checks_each_block_where_the_count_cannot(tmp_path):
-    # each edit keeps the keys distinct, within the weight bound and with
-    # every window valid, and its member counts still add up to C_n; only
-    # the per-block and per-key checks of load reject it
+    # each edit keeps the keys distinct, delta(n) of them, within the
+    # weight bound and with every window valid, and its member counts still
+    # add up to C_n; only the per-block and per-key checks of load reject it
     cases = (
         # a block with an interior one, (1,2,1,2,1) as one window, in place
         # of the two blocks (2) whose class has that canonical member
@@ -755,24 +770,24 @@ def test_cache_checks_each_block_where_the_count_cannot(tmp_path):
         fresh = run_catalog(["--n", str(n), "--no-cache"])
         keys = [cls.u1_key for cls in u1_classes(n)]
         edited = [new if key == old else key for key in keys]
-        assert edited != keys
+        assert edited != keys and len(set(edited)) == len(edited) == len(keys)
         assert sum(cls.member_count for cls in _build_classes(n, edited)) == comb(2 * n, n) // (n + 1)
         cache = CatalogCache(tmp_path)
         cache.path(n).write_text(json.dumps({"version": 4, "n": n, "classes": edited}), encoding="utf-8")
         assert cache.load(n) is None, new
         assert run_catalog(["--n", str(n), "--cache-dir", str(tmp_path)]) == fresh
-        assert cache.load(n) == u1_classes(n)
+        assert cache.load(n) == keys
 
 
 def test_cache_store_leaves_no_temporary_file(tmp_path):
     cache = CatalogCache(tmp_path)
-    classes = u1_classes(4)
-    assert cache.store(4, classes) == cache.path(4)
+    keys = [cls.u1_key for cls in u1_classes(4)]
+    assert cache.store(4, keys) == cache.path(4)
     assert os.listdir(tmp_path) == [cache.path(4).name]
     # a store that cannot rename over its target fails and cleans up
     blocked = CatalogCache(tmp_path / "blocked")
     blocked.path(4).mkdir(parents=True)
-    assert blocked.store(4, classes) is None
+    assert blocked.store(4, keys) is None
     assert os.listdir(tmp_path / "blocked") == [blocked.path(4).name]
 
 
@@ -784,7 +799,7 @@ def test_cache_reads_truncated_file_as_miss(tmp_path):
         cache.path(4).write_text(text[:size], encoding="utf-8")
         assert cache.load(4) is None
         assert u1_classes_cached(4, cache) == classes
-        assert cache.load(4) == classes
+        assert cache.load(4) == [cls.u1_key for cls in classes]
 
 
 def test_cache_hit_calls_no_validator_or_generator(tmp_path, count_calls):
@@ -794,16 +809,18 @@ def test_cache_hit_calls_no_validator_or_generator(tmp_path, count_calls):
         count_calls(module, name)
         for module, name in (
             ("catalog", "enumerate_marked"),
+            ("catalog", "_block_keys"),
             ("catalog", "u1_classes"),
             ("fans", "validate_sequence"),
             ("catalog", "u1_key"),
             ("invariants", "analyze_sequence"),
         )
     ]
-    # each block is looked up among the miss's own blocks: no window is
-    # validated, and no member is built, keyed or analyzed
+    # each block is looked up among the miss's own blocks: no key is
+    # generated, no window is validated, and no member is built, keyed or
+    # analyzed
     assert run_catalog(argv) == miss
-    assert calls == [[]] * 5
+    assert calls == [[]] * 6
 
 
 def test_cache_checks_block_entry_types(tmp_path):
@@ -859,5 +876,81 @@ def test_cache_file_schema(tmp_path):
     assert payload["version"] == CatalogCache.VERSION == 4 and payload["n"] == 3
     # each class is its block multiset key, in canonical order
     assert payload["classes"] == [[], [[2]], [[2, 3]]]
-    payload = json.loads(CatalogCache(tmp_path).store(5, u1_classes(5)).read_text(encoding="utf-8"))
-    assert payload["classes"] == [list(map(list, cls.u1_key)) for cls in u1_classes(5)]
+    keys = [cls.u1_key for cls in u1_classes(5)]
+    payload = json.loads(CatalogCache(tmp_path).store(5, keys).read_text(encoding="utf-8"))
+    assert payload["classes"] == [list(map(list, key)) for key in keys]
+
+
+def old_text_row(cls):
+    """A row of the text listing as the record-based writer rendered it."""
+    return (
+        f"{','.join(map(str, cls.canonical))}  members={cls.member_count} "
+        f"m={cls.m} slack={'-' if cls.slack is None else cls.slack}"
+    )
+
+
+def test_text_listing_matches_the_records():
+    for n in range(12):
+        classes = u1_classes(n)
+        rows = [f"n = {n}: delta = {len(classes)} circle-action classes"]
+        rows += map(old_text_row, classes)
+        assert run_catalog(["--n", str(n), "--no-cache"]) == "\n  ".join(rows) + "\n", n
+
+
+def test_block_keys_come_in_canonical_order():
+    # the order is (weight, key) order, which is the order of the canonical
+    # members, each built here by its own definition
+    for n in range(13):
+        keys = _block_keys(n)
+
+        def canonical(key):
+            lead = n + 1 - sum(map(len, key)) - len(key)
+            return (1,) * lead + tuple(entry for block in key for entry in block + (1,))
+
+        assert keys == sorted(keys, key=canonical), n
+        assert len(set(map(canonical, keys))) == len(keys), n
+        assert all(list(key) == sorted(key) for key in keys), n
+
+
+def test_text_requests_build_no_record(tmp_path, count_calls):
+    built = count_calls("catalog", "_build_classes")
+    generated = count_calls("catalog", "_block_keys")
+    argv = ["--n", "8", "--cache-dir", str(tmp_path)]
+    miss = run_catalog(argv)
+    assert run_catalog(argv) == miss == run_catalog(["--n", "8", "--no-cache"])
+    # the miss and the uncached run generate the keys, the hit reads them
+    assert len(generated) == 2
+    assert built == []
+
+
+def test_cache_hit_is_proved_by_the_class_count(tmp_path):
+    n = 7
+    cache = CatalogCache(tmp_path)
+    fresh = run_catalog(["--n", str(n), "--cache-dir", str(tmp_path)])
+    text = cache.path(n).read_text(encoding="utf-8")
+    payload = json.loads(text)
+    stored = payload["classes"]
+    keys = [cls.u1_key for cls in u1_classes(n)]
+    assert stored == [list(map(list, key)) for key in keys]
+    # two copies of a valid block of weight 4: a key of weight 8 > n
+    heavy = [[2, 5, 3]] * 2
+    assert (2, 5, 3) in catalog._blocks(n)
+    edits = {
+        "dropped": stored[:5] + stored[6:],
+        "duplicated in place of another": stored[:5] + [stored[4]] + stored[6:],
+        "duplicated beside the rest": stored + [stored[4]],
+        "heavier in place of another": stored[:5] + [heavy] + stored[6:],
+        "heavier beside the rest": stored + [heavy],
+    }
+    for name, edited in edits.items():
+        cache.path(n).write_text(json.dumps(dict(payload, classes=edited)), encoding="utf-8")
+        assert cache.load(n) is None, name
+        assert run_catalog(["--n", str(n), "--cache-dir", str(tmp_path)]) == fresh, name
+        assert cache.path(n).read_text(encoding="utf-8") == text, name
+    # the same keys in any order are a hit, returned in canonical order
+    shuffled = stored[::-1]
+    random.Random(7).shuffle(shuffled)
+    cache.path(n).write_text(json.dumps(dict(payload, classes=shuffled)), encoding="utf-8")
+    assert cache.load(n) == keys
+    assert run_catalog(["--n", str(n), "--cache-dir", str(tmp_path)]) == fresh
+    assert cache.path(n).read_text(encoding="utf-8") != text

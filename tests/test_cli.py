@@ -145,6 +145,28 @@ def test_catalog_marked_and_u1(tmp_path):
     assert again.stdout == result.stdout
 
 
+def test_catalog_rejects_a_cache_dir_it_would_ignore(tmp_path):
+    # the marked listing reads no cache, and --no-cache skips it; either
+    # with --cache-dir exits 2 and names the conflict, before any work
+    for extra, other in (
+        (["--classes", "marked"], "--classes marked"),
+        (["--no-cache"], "--no-cache"),
+        (["--classes", "marked", "--no-cache"], "--classes marked"),
+    ):
+        for fmt in ("text", "json"):
+            argv = ["catalog", "--n", "4", *extra, "--format", fmt, "--cache-dir", str(tmp_path)]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(argv) == 2, argv
+            assert out.getvalue() == "", argv
+            assert err.getvalue() == f"error: --cache-dir has no effect with {other}\n", argv
+    assert list(tmp_path.iterdir()) == []
+    # the marked listing still takes --no-cache, which the benchmark sends
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["catalog", "--n", "4", "--classes", "marked", "--no-cache"]) == 0
+    assert out.getvalue().startswith("n = 4: 9 marked sequences up to reversal\n")
+
+
 def test_tables_delta():
     result = run_cli("tables", "delta", "--format", "json")
     data = json.loads(result.stdout)
