@@ -8,7 +8,7 @@ by the coarser connected-sum relation described at :func:`u1_key`, whose
 classes are the multisets of blocks of entries > 1.  The classes come from
 their block multiset keys, which :func:`_block_keys` builds in canonical
 order from the blocks, generated directly as the windows (1, B, 1) by the
-canonical augmentation :func:`enumerate_marked` uses, without enumerating a
+canonical augmentation :func:`_marked_level` walks, without enumerating a
 level.  Every listed field is in closed form from a key
 (:func:`_class_fields`): the text listing is written from the keys with no
 record per class, :func:`u1_classes` builds records for the library and the
@@ -18,6 +18,16 @@ the reversal classes and delta(n), are counted in closed form by
 and a cache hit proves it holds every class by counting delta(n) keys.  The
 three named families (semi-free-containing, involution-isotropy,
 maximal-step) are written down in closed form.
+
+Inside the catalog a sequence or block is packed: it is the str whose code
+points are its entries, chr(k) for entry k, each at most _MAX_ENTRY = 610,
+so one or two bytes per entry.  A str compares code point by code point,
+and a proper prefix first, exactly as a tuple compares entry by entry, and
+code points compare as the integers they are; so sorting, the reversal
+tests, hashing and equality give what the tuples would, in C.  The text
+listings render entries by str.translate with :data:`_COMMA_DECIMAL`, and
+the public results (enumerate_marked, CatalogClass, the cache file) hold
+the entries as integers.
 """
 
 from __future__ import annotations
@@ -52,11 +62,12 @@ FIBONACCI_TABLE = {
 
 
 #: The largest level the enumeration serves.  Level 14 has C_14 = 2,674,440
-#: sequences and 604,297 classes.  In a fresh CLI process the text listing
-#: catalog --n 14 takes 6.9-8.2 s and 293 MB of peak RSS, and
-#: enumerate_marked(14) 5.3-7.0 s and 462 MB; u1_classes(14), which builds
-#: a record per class, takes about 12.7 s and 543 MB (2-core shared VM,
-#: CPython 3.11).  Each further level costs about 3.5 times more.
+#: sequences and 604,297 classes.  In a fresh CLI process each text listing,
+#: catalog --n 14 and catalog --classes marked --n 14, takes 3.0-4.0 s and
+#: 249 MB of peak RSS.  enumerate_marked(14), which decodes the level into
+#: tuples, takes 2.7-3.3 s and 264 MB, and u1_classes(14), which builds a
+#: record per class, 9.0-10.2 s and 615 MB (2-core shared VM, CPython 3.11).
+#: Each further level costs about 3.5 times more.
 _MAX_LEVEL = 14
 
 
@@ -77,57 +88,58 @@ def _check_family(n: int) -> None:
         raise InvalidParameterError(f"n = {n} is above the family limit n <= {_MAX_FAMILY}")
 
 
-def _mediant_stop(p: tuple[int, ...]) -> int:
-    """The end of the mediant range of an oriented sequence p: in the
-    canonical augmentation (McKay, J. Algorithms 26, 1998) that
-    :func:`enumerate_marked` and :func:`_windows` walk, the children of p are
-    (1,) + p and the mediants at adjacencies 1 <= i < stop.  The callers
-    settle p == (1,) (stop 1) and p[1] == 1 (stop 2); otherwise stop = j + 2
-    at the first interior mediant j, and len(p) = 2 for (1, 1).
+#: The largest entry of a sequence of level <= _MAX_LEVEL: F(15) = 610, the
+#: peak of family_fibonacci(14).  By induction over the insertions, a
+#: level-n entry is at most F(n + 1) and two adjacent ones sum to at most
+#: F(n + 2), since a mediant a + b puts a + (a + b) <= F(n + 1) + F(n + 2)
+#: beside it.  It bounds the tables that render entries, here and in the CLI.
+_MAX_ENTRY = 610
 
-    Each sequence is generated once, from one parent: itself with its
-    leftmost removable entry deleted.  In a sequence p, entry 0 is removable
-    when p[1] == 1 (or p == (1,)), and an interior entry j when it is the
-    mediant p[j-1] + p[j+1].  Every valid p with p[1] != 1 has an interior
-    mediant (by induction on the length: were its last 1 its only removable
-    entry, p[:-1] would have the same p[1], and the interior mediant of
-    p[:-1] is interior in p), so the last entry is never the leftmost
-    removable one, and no child comes from appending a 1.  Let r be the
-    leftmost removable position of p.  The prepended child (1,) + p has its
-    leftmost removable entry at 0.  A mediant inserted at adjacency i is
-    removable and leaves positions before i - 1 as they were in p, while the
-    entry to its left, now beside a larger neighbor, cannot be removable; so
-    the mediant is the child's leftmost removable entry exactly when
-    i <= r + 1.  Over the adjacencies 1..len(p) - 1 that gives stop =
-    min(r + 1, len(p) - 1) + 1, and every level-n sequence comes from
-    exactly one level-(n-1) parent: no set is needed.
-    """
-    for j in range(1, len(p) - 1):
-        if p[j] == p[j - 1] + p[j + 1]:
-            return j + 2
-    return len(p)
+#: Entry k as the text ",k", indexed by k: str.translate renders a packed
+#: sequence with it in one call.  An entry past the table would pass through
+#: untranslated, so a test ties _MAX_ENTRY to the largest entry at
+#: _MAX_LEVEL.
+_COMMA_DECIMAL = [f",{k}" for k in range(_MAX_ENTRY + 1)]
 
 
-@lru_cache(maxsize=None)
-def enumerate_marked(n: int) -> tuple[tuple[int, ...], ...]:
-    """All level-n sequences reachable from (1), one representative per
-    reversal class, sorted.  Each level is built from the sorted previous
-    one, which is then dropped; only the requested level is memoized.
+def _marked_level(n: int) -> list[str]:
+    """The level-n sequences up to reversal, sorted, each its lesser
+    orientation packed (see the module docstring), so that the sort and the
+    reversal tests compare in C what tuples would compare entry by entry.
+    Each level is built from the sorted previous one, which is then dropped,
+    and its count is checked against (C_n + p_n)/2 at every level.
 
-    Every oriented parent p gets its children by :func:`_mediant_stop`, so
-    each oriented child is generated once, and of a child and its reversal
-    only the lesser is kept, mostly decided before the child is built.  A
-    sequence c starts and ends with 1, so c <= c[::-1] is settled by c[1]
-    against c[-2] unless the two are equal, and only such a tie builds the
-    child to compare it in full.  With a, b = p[1], p[-2], the prepended
-    child has the pair (1, b), and is kept outright when b > 1.  The mediant
-    x at adjacency i has the pair (x, b) at i = 1, where x = 1 + a, the pair
-    (a, x) at i = last = len(p) - 1, where x = b + 1, and the pair (a, b)
-    between them: those middle children are all kept when a < b and none is
-    built when a > b.
+    The walk is the canonical augmentation of McKay (J. Algorithms 26,
+    1998): the children of an oriented sequence p are (1,) + p and the
+    mediants at adjacencies 1 <= i < stop.  Each sequence is generated once,
+    from one parent: itself with its leftmost removable entry deleted.  In a
+    sequence p, entry 0 is removable when p[1] == 1 (or p == (1,)), and an
+    interior entry j when it is the mediant p[j-1] + p[j+1].  Every valid p
+    with p[1] != 1 has an interior mediant (by induction on the length: were
+    its last 1 its only removable entry, p[:-1] would have the same p[1], and
+    the interior mediant of p[:-1] is interior in p), so the last entry is
+    never the leftmost removable one, and no child comes from appending a 1.
+    Let r be the leftmost removable position of p.  The prepended child
+    (1,) + p has its leftmost removable entry at 0.  A mediant inserted at
+    adjacency i is removable and leaves positions before i - 1 as they were
+    in p, while the entry to its left, now beside a larger neighbor, cannot
+    be removable; so the mediant is the child's leftmost removable entry
+    exactly when i <= r + 1.  Over the adjacencies 1..len(p) - 1 that gives
+    stop = min(r + 1, len(p) - 1) + 1: stop = 1 at p == (1,), 2 when
+    p[1] == 1, and otherwise j + 2 at the first interior mediant j.
+
+    Of a child and its reversal only the lesser is kept, mostly decided
+    before the child is built.  A sequence c starts and ends with 1, so
+    c <= c[::-1] is settled by c[1] against c[-2] unless the two are equal,
+    and only such a tie builds the child to compare it in full.  With a, b =
+    p[1], p[-2], the prepended child has the pair (1, b), and is kept
+    outright when b > 1.  The mediant x at adjacency i has the pair (x, b)
+    at i = 1, where x = 1 + a, the pair (a, x) at i = last = len(p) - 1,
+    where x = b + 1, and the pair (a, b) between them: those middle children
+    are all kept when a < b and none is built when a > b.
     """
     _check_level(n)
-    level = [(1,)]
+    level = ["\x01"]
     for j in range(1, n + 1):
         parents, level = level, []
         keep = level.append
@@ -135,40 +147,61 @@ def enumerate_marked(n: int) -> tuple[tuple[int, ...], ...]:
             for p in (rep,) if rep == rep[::-1] else (rep, rep[::-1]):
                 last = len(p) - 1
                 if last == 0:
-                    keep((1, 1))
+                    keep("\x01\x01")
                     continue
-                a, b = p[1], p[-2]
-                child = (1,) + p
+                a, b = ord(p[1]), ord(p[-2])
+                child = "\x01" + p
                 if b > 1 or child <= child[::-1]:
                     keep(child)
                 # at p == (1, 1) the mediant 2 takes both places of the pair
                 x = 1 + a
                 if x <= b or last == 1:
-                    child = (1, x) + p[1:]
+                    child = "\x01" + chr(x) + p[1:]
                     if x < b or child <= child[::-1]:
                         keep(child)
                 if a == 1:
                     continue
-                stop = _mediant_stop(p)
-                if a < b:
-                    level += [
-                        p[:i] + (p[i - 1] + p[i],) + p[i:] for i in range(2, min(stop, last))
-                    ]
-                elif a == b:
-                    for i in range(2, min(stop, last)):
-                        child = p[:i] + (p[i - 1] + p[i],) + p[i:]
-                        if child <= child[::-1]:
+                # the middle mediants in one pass with the scan for stop,
+                # u, v, w = p[i-2], p[i-1], p[i]: the mediant at i is built,
+                # then an interior mediant j = i - 1 gives stop = i + 1 and
+                # ends the range.  The scan stops short of j = last - 1,
+                # whose stop len(p) > last, like no break, admits the
+                # mediant at last
+                u, v = 1, a
+                for i in range(2, last):
+                    w = ord(p[i])
+                    if a <= b:
+                        child = p[:i] + chr(v + w) + p[i:]
+                        if a < b or child <= child[::-1]:
                             keep(child)
-                if stop > last and a <= b + 1:
-                    child = p[:-1] + (b + 1, 1)
-                    if a <= b or child <= child[::-1]:
-                        keep(child)
+                    if v == u + w:
+                        break
+                    u, v = v, w
+                else:
+                    if a <= b + 1:
+                        child = p[:-1] + chr(b + 1) + "\x01"
+                        if a <= b or child <= child[::-1]:
+                            keep(child)
         level.sort()
         if len(level) != _marked_count(j):
             raise InternalInvariantError(
                 f"enumerate_marked: n = {j}: generated {len(level)} reversal classes, "
                 f"expected (C_n + p_n)/2 = {_marked_count(j)}"
             )
+    return level
+
+
+@lru_cache(maxsize=None)
+def enumerate_marked(n: int) -> tuple[tuple[int, ...], ...]:
+    """All level-n sequences reachable from (1), one representative per
+    reversal class, sorted: the packed level of :func:`_marked_level`, each
+    sequence decoded into its tuple of entries.  Only the requested level is
+    memoized."""
+    level = _marked_level(n)
+    # decoded in place, so that each packed sequence is freed as its tuple
+    # takes its place
+    for i, rep in enumerate(level):
+        level[i] = tuple(map(ord, rep))
     return tuple(level)
 
 
@@ -248,7 +281,15 @@ class CatalogClass(Record):
         return tuple(members)
 
 
-def _class_fields(n: int, keys: list[tuple[tuple[int, ...], ...]]) -> Iterator[tuple]:
+#: A block multiset key as the generators and the cache hold it: its blocks,
+#: each packed as :func:`_marked_level` packs a sequence, sorted.
+_Key = tuple[str, ...]
+
+#: The rows of :func:`_block_table`, by packed block.
+_Table = dict[str, tuple[str, int, bool]]
+
+
+def _class_fields(n: int, table: _Table, keys: list[_Key]) -> Iterator[tuple]:
     """Per block multiset key, in the given order: its canonical member as
     text, member_count, m and slack, every one in closed form from the rows
     of :func:`_block_table` for the key's blocks B_1 <= ... <= B_t, with no
@@ -270,7 +311,6 @@ def _class_fields(n: int, keys: list[tuple[tuple[int, ...], ...]]) -> Iterator[t
       t! / prod c_B! orders (c_B the multiplicity of B), and each of the f
       blocks that is not a palindrome in both of its orientations.
     """
-    table = _block_table({block for key in keys for block in key})
     ones = ["1" + ",1" * lead for lead in range(n + 1)]
     for key in keys:
         tail = ""
@@ -292,73 +332,74 @@ def _class_fields(n: int, keys: list[tuple[tuple[int, ...], ...]]) -> Iterator[t
         yield ones[lead - 1] + tail, count, m, lead - 1 if t else None
 
 
-def _build_classes(n: int, keys: list[tuple[tuple[int, ...], ...]]) -> list[CatalogClass]:
+def _build_classes(n: int, table: _Table, keys: list[_Key]) -> list[CatalogClass]:
     """One record per block multiset key, in the keys' order, from the
     fields of :func:`_class_fields`; canonical is read back from its text,
-    and l is the absolute differences of (0, canonical, 0).  Only the
-    library and the JSON listing build records: the text listing writes the
-    fields straight away."""
+    u1_key is the key decoded into tuples, and l is the absolute differences
+    of (0, canonical, 0).  Only the library and the JSON listing build
+    records: the text listing writes the fields straight away."""
     classes = []
-    for key, (text, count, m, slack) in zip(keys, _class_fields(n, keys)):
+    for key, (text, count, m, slack) in zip(keys, _class_fields(n, table, keys)):
         canonical = tuple(map(int, text.split(",")))
         l = tuple(map(abs, map(sub, canonical + (0,), (0,) + canonical)))
-        classes.append(CatalogClass(canonical, key, m, l, slack, count))
+        u1 = tuple([tuple(map(ord, block)) for block in key])
+        classes.append(CatalogClass(canonical, u1, m, l, slack, count))
     return classes
 
 
-def _windows(n: int) -> Iterator[list[tuple[int, ...]]]:
+def _windows(n: int) -> Iterator[list[tuple[str, int, int]]]:
     """The oriented windows (1, B, 1) of weights 2..n, one list per weight:
     the level-j sequences with no 1 inside, B their block of weight
-    |B| + 1 = j.
+    |B| + 1 = j.  Each window comes packed (see the module docstring), with
+    its stop and its share m_B - 1 = sum |w[k+1] - w[k]| / 2.
 
     Windows are closed under the canonical augmentation of
-    :func:`_mediant_stop`.  The second entry of a window of weight j >= 2
+    :func:`_marked_level`.  The second entry of a window of weight j >= 2
     is not 1, so its leftmost removable entry is an interior mediant, and
     deleting it leaves a window of weight j - 1, down to (1, 1).  A
     prepended 1 would sit inside, and an inserted mediant exceeds 1, so the
     windows of weight j are exactly the children of those of weight j - 1 by
-    a mediant at an adjacency i < stop, each built once.  Only the previous
-    weight's windows are kept."""
-    windows = [(1, 1)]
+    a mediant at an adjacency i < stop, each built once.  That mediant is the
+    child's leftmost removable entry, so the child's stop is i + 2, with no
+    scan.  It turns the step |u - v| between its neighbors u, v into
+    u + v, so the child's share is the parent's plus min(u, v).  The root
+    (1, 1) has stop 2 and share 0.  Only the previous weight's windows are
+    kept."""
+    windows = [("\x01\x01", 2, 0)]
     for _ in range(n - 1):
-        windows = [
-            p[:i] + (p[i - 1] + p[i],) + p[i:] for p in windows for i in range(1, _mediant_stop(p))
-        ]
+        children = []
+        add = children.append
+        for p, stop, share in windows:
+            u = 1
+            for i in range(1, stop):
+                v = ord(p[i])
+                add((p[:i] + chr(u + v) + p[i:], i + 2, share + (u if u < v else v)))
+                u = v
+        windows = children
         yield windows
 
 
-def _blocks(n: int) -> list[tuple[int, ...]]:
-    """The blocks B of weights 2..n, each once, in its lesser orientation:
-    the interiors of the windows (1, B, 1) no greater than their reversal.
-    A window starts and ends with 1, so B[0] against B[-1] decides unless
-    the two are equal."""
-    return [
-        window[1:-1]
-        for windows in _windows(n)
-        for window in windows
-        if window[1] < window[-2] or window[1] == window[-2] and window <= window[::-1]
-    ]
-
-
-def _block_table(blocks) -> dict[tuple[int, ...], tuple[str, int, bool]]:
-    """Each block's row: its piece ",B[0],...,B[-1],1" of the canonical
-    text, its share m_B - 1 = sum frag(B) / 2 of the class's step count (see
-    :func:`_class_fields`) and whether it differs from its reversal."""
+def _block_table(n: int) -> _Table:
+    """The blocks B of weights 2..n, each once, packed in its lesser
+    orientation, each with its row: its piece ",B[0],...,B[-1],1" of the
+    canonical text, its share m_B - 1 of the class's step count (see
+    :func:`_class_fields`) and whether it differs from its reversal.  A
+    block's lesser orientation is the interior of the lesser orientation of
+    its window.  The table is built once per request, and feeds
+    :func:`_block_keys`, :func:`_class_fields` and the cache's check."""
     return {
-        block: (
-            ",%d" * len(block) % block + ",1",
-            sum(map(abs, map(sub, window[1:], window))) // 2,
-            block != block[::-1],
-        )
-        for block in blocks
-        for window in [(1,) + block + (1,)]
+        window[1:-1]: (window[1:].translate(_COMMA_DECIMAL), share, window != reverse)
+        for windows in _windows(n)
+        for window, _, share in windows
+        for reverse in [window[::-1]]
+        if window <= reverse
     }
 
 
-def _block_keys(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Every multiset of blocks with sum (|B| + 1) <= n, as a sorted tuple,
-    in canonical order, which is (weight, key) order: the weight
-    sum (|B| + 1) fixes the leading ones of the canonical member (see
+def _block_keys(n: int, table: _Table) -> list[_Key]:
+    """Every multiset of the blocks of the level's table, sum (|B| + 1) <= n,
+    as a sorted tuple, in canonical order, which is (weight, key) order: the
+    weight sum (|B| + 1) fixes the leading ones of the canonical member (see
     :func:`_class_fields`).  Checked against delta(n) from the closed form
     of :func:`growth_report`.
 
@@ -368,8 +409,8 @@ def _block_keys(n: int) -> list[tuple[tuple[int, ...], ...]]:
     makes are less than every key already in their weight's list, in the
     reverse order of the keys they extend.  So each list is built in
     decreasing order, and read reversed."""
-    by_weight: list[list[tuple[tuple[int, ...], ...]]] = [[()]] + [[] for _ in range(n)]
-    for block in sorted(_blocks(n), reverse=True):
+    by_weight: list[list[_Key]] = [[()]] + [[] for _ in range(n)]
+    for block in sorted(table, reverse=True):
         head = (block,)
         weight = len(block) + 1
         by_weight[weight].append(head)
@@ -391,8 +432,7 @@ def u1_classes(n: int) -> list[CatalogClass]:
     """The level-n circle-action classes, one per block multiset, sorted by
     canonical member; delta(n) is their number, checked against the closed
     form of :func:`growth_report`."""
-    _check_level(n)
-    return _build_classes(n, _block_keys(n))
+    return _build_classes(n, *_u1_keys(n, None))
 
 
 def family_lebrun(n: int) -> list[SequenceAnalysis]:
@@ -536,14 +576,16 @@ class CatalogCache:
     ~/.cache/minitwistor.
 
     A version-4 file is ``{"version": 4, "n": n, "classes": [key, ...]}``,
-    one block multiset key per class, in canonical order.  Every field of a
-    class derives from its key, so a hit writes its listing from the keys,
-    as a miss does.  load parses no float and no NaN or infinity, and checks
-    that each distinct block is one of the miss's own blocks (whose entries
-    all exceed 1, so no boolean passes), that each key is sorted, that no
-    key is heavier than n and that the keys are distinct.  Such keys are
-    distinct members of the set of all block multisets of weight <= n, which
-    has delta(n) members; so there are delta(n) of them exactly when none is
+    one block multiset key per class, in canonical order, each block a list
+    of its entries; in memory the keys are packed (see :func:`_block_keys`).
+    Every field of a class derives from its key, so a hit writes its listing
+    from the keys, as a miss does.  load parses no float and no NaN or
+    infinity, and checks that each distinct block is one of the miss's own
+    blocks, the keys of the level's :func:`_block_table` (whose entries all
+    exceed 1, so no boolean passes), that each key is sorted, that no key is
+    heavier than n and that the keys are distinct.  Such keys are distinct
+    members of the set of all block multisets of weight <= n, which has
+    delta(n) members; so there are delta(n) of them exactly when none is
     missing, and then they are the miss's keys.  load returns them in
     canonical order, whatever their order in the file.  Any failure, and any
     file of another version, is a miss.
@@ -559,10 +601,14 @@ class CatalogCache:
     def path(self, n: int) -> Path:
         return self.directory / f"catalog_n{n}.json"
 
-    def load(self, n: int) -> list[tuple[tuple[int, ...], ...]] | None:
+    def load(self, n: int, table: _Table | None = None) -> list[_Key] | None:
+        """The level-n keys from the file, or None for a miss.  table is the
+        level's :func:`_block_table` when the caller has built it already;
+        load builds it otherwise."""
         # a level outside 0..14 has no classes to load; a missing,
         # unreadable, truncated, too deeply nested or wrongly shaped file is
-        # a miss, and so is a float, NaN or infinity anywhere in it
+        # a miss, and so is a float, NaN or infinity anywhere in it, or an
+        # entry that is no code point
         if not 0 <= n <= _MAX_LEVEL:
             return None
         try:
@@ -573,11 +619,13 @@ class CatalogCache:
             )
             if data["version"] != self.VERSION or data["n"] != n:
                 return None
-            keys = [tuple(map(tuple, key)) for key in data["classes"]]
+            keys = [tuple(["".join(map(chr, block)) for block in key]) for key in data["classes"]]
             blocks = {block for key in keys for block in key}
-        except (OSError, ValueError, LookupError, TypeError, RecursionError):
+        except (OSError, ValueError, LookupError, TypeError, OverflowError, RecursionError):
             return None
-        if len(keys) != _deltas(n)[n] or not blocks <= set(_blocks(n)):
+        if len(keys) != _deltas(n)[n]:
+            return None
+        if not blocks <= (_block_table(n) if table is None else table).keys():
             return None
         weights = [sum(map(len, key)) + len(key) for key in keys]
         if max(weights) > n or len(set(keys)) != len(keys):
@@ -586,18 +634,26 @@ class CatalogCache:
             return None
         return [key for _, key in sorted(zip(weights, keys))]
 
-    def store(self, n: int, keys: list[tuple[tuple[int, ...], ...]]) -> Path | None:
+    def store(self, n: int, keys: list[_Key]) -> Path | None:
         path = self.path(n)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
         except OSError:
             return None
-        payload = {"version": self.VERSION, "n": n, "classes": keys}
+        # the text json.dumps(..., sort_keys=True) gives for the version, n
+        # and the keys with each block a list of its entries, written from
+        # the packed blocks: its separators are all ", ", and no other comma
+        # occurs in it
+        classes = ",".join([
+            "[" + ",".join(["[" + b.translate(_COMMA_DECIMAL)[1:] + "]" for b in key]) + "]"
+            for key in keys
+        ]).replace(",", ", ")
+        text = f'{{"classes": [{classes}], "n": {n}, "version": {self.VERSION}}}\n'
         # write beside the target and rename over it, so a reader never sees
         # a partly written file
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+            tmp.write_text(text, encoding="utf-8")
             os.replace(tmp, path)
         except OSError:
             tmp.unlink(missing_ok=True)
@@ -609,20 +665,21 @@ def _reject_number(text: str):
     raise ValueError(f"not an integer: {text}")
 
 
-def _u1_keys(n: int, cache: CatalogCache | None) -> list[tuple[tuple[int, ...], ...]]:
-    """The level-n block multiset keys in canonical order, read through the
-    cache when one is given; a negative n, or one above the enumeration
-    limit, is rejected before any file is read."""
+def _u1_keys(n: int, cache: CatalogCache | None) -> tuple[_Table, list[_Key]]:
+    """The level's block table and its block multiset keys in canonical
+    order, read through the cache when one is given; a negative n, or one
+    above the enumeration limit, is rejected before any file is read."""
     _check_level(n)
-    keys = None if cache is None else cache.load(n)
+    table = _block_table(n)
+    keys = None if cache is None else cache.load(n, table)
     if keys is None:
-        keys = _block_keys(n)
+        keys = _block_keys(n, table)
         if cache is not None:
             cache.store(n, keys)
-    return keys
+    return table, keys
 
 
 def u1_classes_cached(n: int, cache: CatalogCache | None = None) -> list[CatalogClass]:
     """u1_classes with a read-through JSON cache; a negative n, or one above
     the enumeration limit, is rejected before any file is read."""
-    return _build_classes(n, _u1_keys(n, cache))
+    return _build_classes(n, *_u1_keys(n, cache))

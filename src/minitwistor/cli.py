@@ -70,8 +70,8 @@ _C_SIGN = {"+1": 1, "1": 1, "-1": -1}
 
 
 class _Decimal(dict):
-    """str of an integer, looked up for 0..610 (610 = F(15) is the largest
-    entry of a level-14 sequence) and computed past them."""
+    """str of an integer, looked up for 0..catalog._MAX_ENTRY, the largest
+    entry of a catalog sequence, and computed past them."""
 
     __slots__ = ()
 
@@ -79,7 +79,7 @@ class _Decimal(dict):
         return str(k)
 
 
-_DECIMAL = _Decimal((k, str(k)) for k in range(611))
+_DECIMAL = _Decimal((k, str(k)) for k in range(cat._MAX_ENTRY + 1))
 
 
 def _format_seq(seq: tuple[int, ...]) -> str:
@@ -188,13 +188,13 @@ def _cmd_catalog(args: argparse.Namespace) -> str:
         other = "--classes marked" if args.classes == "marked" else "--no-cache"
         raise InvalidParameterError(f"--cache-dir has no effect with {other}")
     if args.classes == "marked":
-        reps = cat.enumerate_marked(n)
         if args.format == "json":
+            reps = cat.enumerate_marked(n)
             return dumps({"n": n, "count": len(reps), "classes": reps})
-        # rows formatted inline: a per-row call costs as much as the lookups
-        # it would wrap
-        header = f"n = {n}: {len(reps)} marked sequences up to reversal"
-        rows = [",".join(map(_DECIMAL.__getitem__, rep)) for rep in reps]
+        # each packed sequence is written by one translate, with no tuple
+        # of entries, and the level is dropped before the rows are joined
+        rows = [rep.translate(cat._COMMA_DECIMAL)[1:] for rep in cat._marked_level(n)]
+        header = f"n = {n}: {len(rows)} marked sequences up to reversal"
         return "\n  ".join([header, *rows]) + "\n"
     cache = None if args.no_cache else cat.CatalogCache(args.cache_dir)
     if args.format == "json":
@@ -208,13 +208,13 @@ def _cmd_catalog(args: argparse.Namespace) -> str:
             for cls in classes
         ]
         return dumps({"n": n, "delta": len(classes), "classes": rows})
-    # the text listing is written from the keys, with no record per class
-    keys = cat._u1_keys(n, cache)
-    header = f"n = {n}: delta = {len(keys)} circle-action classes"
+    # the text listing is written from the keys, with no record per class;
+    # the table and the keys are dropped before the rows are joined
     rows = [
         f"{text}  members={count} m={m} slack={'-' if slack is None else slack}"
-        for text, count, m, slack in cat._class_fields(n, keys)
+        for text, count, m, slack in cat._class_fields(n, *cat._u1_keys(n, cache))
     ]
+    header = f"n = {n}: delta = {len(rows)} circle-action classes"
     return "\n  ".join([header, *rows]) + "\n"
 
 

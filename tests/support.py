@@ -16,6 +16,7 @@ from minitwistor import (
     u1_key,
     validate_sequence,
 )
+from minitwistor.catalog import _marked_count
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -75,6 +76,103 @@ def marked_by_insertion(n_max):
         level = {reversal_canonical(child) for parent in levels[-1] for child in insertions(parent)}
         levels.append(tuple(sorted(level)))
     return levels
+
+
+def unpack(packed):
+    """A packed sequence or block, the str whose code points are its
+    entries, as the tuple of its entries."""
+    return tuple(map(ord, packed))
+
+
+def unpack_key(key):
+    """A packed block multiset key as the tuple of its blocks' tuples, the
+    form of CatalogClass.u1_key."""
+    return tuple(map(unpack, key))
+
+
+def pack(seq):
+    """A sequence or block as the str whose code points are its entries."""
+    return "".join(map(chr, seq))
+
+
+def mediant_stop(p):
+    """The end of the mediant range of an oriented sequence p, by scanning:
+    the children of p in the canonical augmentation are (1,) + p and the
+    mediants at adjacencies 1 <= i < stop.  The callers settle p == (1,)
+    (stop 1) and p[1] == 1 (stop 2); otherwise stop = j + 2 at the first
+    interior mediant j, and len(p) = 2 for (1, 1).  The oracle for the stop
+    that catalog._windows carries with each window and catalog._marked_level
+    scans for."""
+    for j in range(1, len(p) - 1):
+        if p[j] == p[j - 1] + p[j + 1]:
+            return j + 2
+    return len(p)
+
+
+def marked_tuples(n):
+    """Level n up to reversal, sorted, by the canonical augmentation on
+    tuples of entries, each level checked against its closed-form count:
+    the oracle for catalog._marked_level, which walks the same tree on
+    packed sequences.  Each oriented parent p has the children (1,) + p and
+    the mediants at adjacencies i < mediant_stop(p); of a child and its
+    reversal only the lesser is kept, decided by c[1] against c[-2] where
+    the two differ (see catalog._marked_level)."""
+    level = [(1,)]
+    for j in range(1, n + 1):
+        parents, level = level, []
+        keep = level.append
+        for rep in parents:
+            for p in (rep,) if rep == rep[::-1] else (rep, rep[::-1]):
+                last = len(p) - 1
+                if last == 0:
+                    keep((1, 1))
+                    continue
+                a, b = p[1], p[-2]
+                child = (1,) + p
+                if b > 1 or child <= child[::-1]:
+                    keep(child)
+                # at p == (1, 1) the mediant 2 takes both places of the pair
+                x = 1 + a
+                if x <= b or last == 1:
+                    child = (1, x) + p[1:]
+                    if x < b or child <= child[::-1]:
+                        keep(child)
+                if a == 1:
+                    continue
+                stop = mediant_stop(p)
+                if a < b:
+                    level += [
+                        p[:i] + (p[i - 1] + p[i],) + p[i:] for i in range(2, min(stop, last))
+                    ]
+                elif a == b:
+                    for i in range(2, min(stop, last)):
+                        child = p[:i] + (p[i - 1] + p[i],) + p[i:]
+                        if child <= child[::-1]:
+                            keep(child)
+                if stop > last and a <= b + 1:
+                    child = p[:-1] + (b + 1, 1)
+                    if a <= b or child <= child[::-1]:
+                        keep(child)
+        level.sort()
+        assert len(level) == _marked_count(j), j
+    return tuple(level)
+
+
+def block_rows(blocks):
+    """Each block's row of catalog._block_table from its definition: the
+    piece ",B[0],...,B[-1],1" of the canonical text, the share
+    sum |w[k+1] - w[k]| / 2 over its window w = (1, B, 1), and whether it
+    differs from its reversal.  Keyed by the block's tuple; it takes any
+    block, valid or not."""
+    return {
+        block: (
+            ",%d" * len(block) % block + ",1",
+            sum(abs(v - u) for u, v in zip(window, window[1:])) // 2,
+            block != block[::-1],
+        )
+        for block in blocks
+        for window in [(1,) + block + (1,)]
+    }
 
 
 def west_children(p, k):

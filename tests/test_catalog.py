@@ -28,7 +28,16 @@ from minitwistor import (
     u1_key,
 )
 from minitwistor import catalog
-from minitwistor.catalog import _block_keys, _build_classes, _mediant_stop, _windows
+from minitwistor.catalog import (
+    _COMMA_DECIMAL,
+    _MAX_ENTRY,
+    _MAX_LEVEL,
+    _block_keys,
+    _block_table,
+    _build_classes,
+    _marked_level,
+    _windows,
+)
 from minitwistor.invariants import (
     _multiplicities,
     l_vector,
@@ -38,18 +47,24 @@ from minitwistor.invariants import (
     trace_divisor,
 )
 from minitwistor.errors import InternalInvariantError, InvalidParameterError
-from minitwistor.cli import main
+from minitwistor.cli import _DECIMAL, main
 
 from support import (
+    block_rows,
     fibonacci,
     greedy_maximal_step,
     grouped_classes,
     insertions,
     is_valid_sequence,
     marked_by_insertion,
+    marked_tuples,
+    mediant_stop,
     oriented_sequences,
+    pack,
     reversal_canonical,
     tree_count,
+    unpack,
+    unpack_key,
     west_children,
     west_sample,
 )
@@ -131,7 +146,8 @@ def test_windows_match_the_filtered_levels():
     # in both orientations, each built once, and the reversal-canonical ones
     # are the b(j) blocks that growth_report counts
     weights = 0
-    for j, windows in enumerate(_windows(12), start=2):
+    for j, packed in enumerate(_windows(12), start=2):
+        windows = [unpack(window) for window, _, _ in packed]
         filtered = sorted(
             oriented
             for rep in enumerate_marked(j)
@@ -145,6 +161,46 @@ def test_windows_match_the_filtered_levels():
         weights += 1
     assert weights == 11
     assert list(_windows(1)) == list(_windows(0)) == []
+
+
+def test_windows_carry_their_stop_and_share():
+    # each window's stop and share against the scan and the sum they
+    # replace, through weight 12; the block table's rows against their
+    # definition; and the largest entry of each weight, F(j + 1)
+    for j, windows in enumerate(_windows(12), start=2):
+        for window, stop, share in windows:
+            entries = unpack(window)
+            assert stop == mediant_stop(entries), entries
+            assert share == sum(abs(v - u) for u, v in zip(entries, entries[1:])) // 2, entries
+        assert max(max(map(ord, window)) for window, _, _ in windows) == fibonacci(j + 1), j
+    for n in range(13):
+        windows = [unpack(window) for weight in _windows(n) for window, _, _ in weight]
+        blocks = {reversal_canonical(window[1:-1]) for window in windows}
+        table = {unpack(block): row for block, row in _block_table(n).items()}
+        assert table == block_rows(blocks), n
+
+
+def test_packed_levels_match_the_tuple_generator():
+    # the packed generator against the same walk on tuples of entries, and
+    # enumerate_marked against both
+    for n in range(12):
+        level = marked_tuples(n)
+        assert [unpack(rep) for rep in _marked_level(n)] == list(level), n
+        assert enumerate_marked(n) == level, n
+        if n:
+            assert max(map(max, level)) == fibonacci(n + 1), n
+
+
+def test_entry_tables_cover_the_largest_entry():
+    # str.translate passes an entry past its table through untranslated, so
+    # the tables must reach the largest entry at the level limit, F(15) =
+    # 610, the peak of the maximal-step sequence (the largest entry of each
+    # level is checked by enumeration above, through level 12)
+    peak = family_fibonacci(_MAX_LEVEL)
+    assert max(peak) == _MAX_ENTRY == fibonacci(_MAX_LEVEL + 1)
+    assert len(_COMMA_DECIMAL) == len(_DECIMAL) == _MAX_ENTRY + 1
+    assert _COMMA_DECIMAL == ["," + _DECIMAL[k] for k in range(_MAX_ENTRY + 1)]
+    assert pack(peak).translate(_COMMA_DECIMAL)[1:] == ",".join(map(str, peak))
 
 
 def leftmost_removable_parent(c):
@@ -163,7 +219,7 @@ def generating_tree_label(p):
     """stop(p), with the two cases the generators settle before the scan."""
     if p == (1,):
         return 1
-    return 2 if p[1] == 1 else _mediant_stop(p)
+    return 2 if p[1] == 1 else mediant_stop(p)
 
 
 def test_mediant_stop_is_the_generating_tree_label():
@@ -565,13 +621,19 @@ def test_tables_delta_and_fibonacci_enumerate_nothing(count_calls):
     assert len(analyzed) == 15
 
 
+def loaded(cache, n):
+    """cache.load(n) with its packed keys decoded into tuples, or None."""
+    keys = cache.load(n)
+    return None if keys is None else [unpack_key(key) for key in keys]
+
+
 def test_cache_round_trip(tmp_path):
     cache = CatalogCache(tmp_path)
     classes = u1_classes_cached(4, cache)
     assert len(classes) == 7
     assert cache.path(4).exists()
     # load returns the keys, and the hit builds the miss's records from them
-    assert cache.load(4) == [cls.u1_key for cls in classes]
+    assert loaded(cache, 4) == [cls.u1_key for cls in classes]
     assert u1_classes_cached(4, cache) == classes
 
 
@@ -611,6 +673,8 @@ def test_cache_rejects_corruption(tmp_path):
     texts += [
         with_classes([[], [[2]], [[2, value]]]) for value in (3.0, float("nan"), float("inf"))
     ]
+    # an entry that is no code point: too large for one, or negative
+    texts += [with_classes([[], [[2]], [[2, value]]]) for value in (2**64, 0x110000, -3)]
     # then keys that are not the classes of level 3, each caught by one
     # check of load alone
     texts += [
@@ -632,10 +696,10 @@ def test_cache_rejects_corruption(tmp_path):
     for text in texts:
         cache.path(3).write_text(text, encoding="utf-8")
         assert cache.load(3) is None, text
-        assert u1_classes_cached(3, cache) == classes and cache.load(3) == keys
+        assert u1_classes_cached(3, cache) == classes and loaded(cache, 3) == keys
     # keys in another order are the same classes: load sorts them
     cache.path(3).write_text(with_classes([[[2, 3]], [], [[2]]]), encoding="utf-8")
-    assert cache.load(3) == keys
+    assert loaded(cache, 3) == keys
     # at level 5: unsorted blocks, and a block holding a one in place of the
     # two blocks it joins
     classes = u1_classes_cached(5, cache)
@@ -645,7 +709,7 @@ def test_cache_rejects_corruption(tmp_path):
         cache.path(5).write_text(json.dumps(dict(good, n=5, classes=edited)), encoding="utf-8")
         assert cache.load(5) is None, new
         assert u1_classes_cached(5, cache) == classes
-        assert cache.load(5) == [cls.u1_key for cls in classes]
+        assert loaded(cache, 5) == [cls.u1_key for cls in classes]
     # a file for a negative level, or one above the limit, is a miss, and
     # the level is rejected before any file is read, by the library and by
     # the CLI
@@ -713,7 +777,7 @@ def test_edited_cache_file_prints_true_classes(tmp_path):
     payload = json.loads(path.read_text(encoding="utf-8"))
     payload["delta"] = 99
     path.write_text(json.dumps(payload), encoding="utf-8")
-    assert CatalogCache(tmp_path).load(7) == [cls.u1_key for cls in u1_classes(7)]
+    assert loaded(CatalogCache(tmp_path), 7) == [cls.u1_key for cls in u1_classes(7)]
     assert run_catalog(["--n", "7", "--cache-dir", str(tmp_path)]) == fresh
     # a dropped class, past the n <= 5 that KNOWN_DELTA covers
     del payload["classes"][5]
@@ -771,17 +835,22 @@ def test_cache_checks_each_block_where_the_count_cannot(tmp_path):
         keys = [cls.u1_key for cls in u1_classes(n)]
         edited = [new if key == old else key for key in keys]
         assert edited != keys and len(set(edited)) == len(edited) == len(keys)
-        assert sum(cls.member_count for cls in _build_classes(n, edited)) == comb(2 * n, n) // (n + 1)
+        # the rows of the edited blocks from their definition, as the table
+        # holds only valid blocks
+        rows = block_rows({block for key in edited for block in key})
+        table = {pack(block): row for block, row in rows.items()}
+        packed = [tuple(map(pack, key)) for key in edited]
+        assert sum(cls.member_count for cls in _build_classes(n, table, packed)) == comb(2 * n, n) // (n + 1)
         cache = CatalogCache(tmp_path)
         cache.path(n).write_text(json.dumps({"version": 4, "n": n, "classes": edited}), encoding="utf-8")
         assert cache.load(n) is None, new
         assert run_catalog(["--n", str(n), "--cache-dir", str(tmp_path)]) == fresh
-        assert cache.load(n) == keys
+        assert loaded(cache, n) == keys
 
 
 def test_cache_store_leaves_no_temporary_file(tmp_path):
     cache = CatalogCache(tmp_path)
-    keys = [cls.u1_key for cls in u1_classes(4)]
+    keys = _block_keys(4, _block_table(4))
     assert cache.store(4, keys) == cache.path(4)
     assert os.listdir(tmp_path) == [cache.path(4).name]
     # a store that cannot rename over its target fails and cleans up
@@ -799,7 +868,7 @@ def test_cache_reads_truncated_file_as_miss(tmp_path):
         cache.path(4).write_text(text[:size], encoding="utf-8")
         assert cache.load(4) is None
         assert u1_classes_cached(4, cache) == classes
-        assert cache.load(4) == [cls.u1_key for cls in classes]
+        assert loaded(cache, 4) == [cls.u1_key for cls in classes]
 
 
 def test_cache_hit_calls_no_validator_or_generator(tmp_path, count_calls):
@@ -876,9 +945,24 @@ def test_cache_file_schema(tmp_path):
     assert payload["version"] == CatalogCache.VERSION == 4 and payload["n"] == 3
     # each class is its block multiset key, in canonical order
     assert payload["classes"] == [[], [[2]], [[2, 3]]]
-    keys = [cls.u1_key for cls in u1_classes(5)]
+    keys = _block_keys(5, _block_table(5))
     payload = json.loads(CatalogCache(tmp_path).store(5, keys).read_text(encoding="utf-8"))
-    assert payload["classes"] == [list(map(list, key)) for key in keys]
+    assert payload["classes"] == [list(map(list, cls.u1_key)) for cls in u1_classes(5)]
+
+
+def test_store_writes_the_decoded_payload(tmp_path):
+    # store writes the text itself; the format is still the bytes json.dumps
+    # gives for the keys decoded into lists, which are the classes' u1_keys,
+    # down to the one empty key of levels 0 and 1
+    cache = CatalogCache(tmp_path)
+    for n in (0, 1, 3, 7, 9):
+        keys = _block_keys(n, _block_table(n))
+        decoded = [[list(block) for block in unpack_key(key)] for key in keys]
+        assert decoded == [list(map(list, cls.u1_key)) for cls in u1_classes(n)]
+        payload = {"version": 4, "n": n, "classes": decoded}
+        expected = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+        assert cache.store(n, keys).read_bytes() == expected, n
+        assert cache.load(n) == keys
 
 
 def old_text_row(cls):
@@ -901,7 +985,7 @@ def test_block_keys_come_in_canonical_order():
     # the order is (weight, key) order, which is the order of the canonical
     # members, each built here by its own definition
     for n in range(13):
-        keys = _block_keys(n)
+        keys = [unpack_key(key) for key in _block_keys(n, _block_table(n))]
 
         def canonical(key):
             lead = n + 1 - sum(map(len, key)) - len(key)
@@ -934,7 +1018,7 @@ def test_cache_hit_is_proved_by_the_class_count(tmp_path):
     assert stored == [list(map(list, key)) for key in keys]
     # two copies of a valid block of weight 4: a key of weight 8 > n
     heavy = [[2, 5, 3]] * 2
-    assert (2, 5, 3) in catalog._blocks(n)
+    assert (2, 5, 3) in {unpack(block) for block in _block_table(n)}
     edits = {
         "dropped": stored[:5] + stored[6:],
         "duplicated in place of another": stored[:5] + [stored[4]] + stored[6:],
@@ -951,6 +1035,6 @@ def test_cache_hit_is_proved_by_the_class_count(tmp_path):
     shuffled = stored[::-1]
     random.Random(7).shuffle(shuffled)
     cache.path(n).write_text(json.dumps(dict(payload, classes=shuffled)), encoding="utf-8")
-    assert cache.load(n) == keys
+    assert loaded(cache, n) == keys
     assert run_catalog(["--n", str(n), "--cache-dir", str(tmp_path)]) == fresh
     assert cache.path(n).read_text(encoding="utf-8") != text
