@@ -26,8 +26,8 @@ and a proper prefix first, exactly as a tuple compares entry by entry, and
 code points compare as the integers they are; so sorting, the reversal
 tests, hashing and equality give what the tuples would, in C.  The text
 listings render entries by str.translate with :data:`_COMMA_DECIMAL`, and
-the public results (enumerate_marked, CatalogClass, the cache file) hold
-the entries as integers.
+the public results (enumerate_marked, CatalogClass, CatalogCache.load and
+store, the cache file) hold the entries as integers.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ FIBONACCI_TABLE = {
 
 #: The largest level the enumeration serves.  Level 14 has C_14 = 2,674,440
 #: sequences and 604,297 classes.  In a fresh CLI process each text listing,
-#: catalog --n 14 and catalog --classes marked --n 14, takes 3.0-4.0 s and
-#: 249 MB of peak RSS.  enumerate_marked(14), which decodes the level into
+#: catalog --n 14 and catalog --classes marked --n 14, takes 2.9-4.4 s and
+#: 248-250 MB of peak RSS.  enumerate_marked(14), which decodes the level into
 #: tuples, takes 2.7-3.3 s and 264 MB, and u1_classes(14), which builds a
-#: record per class, 9.0-10.2 s and 615 MB (2-core shared VM, CPython 3.11).
+#: record per class, 10.4-11.4 s and 554 MB (2-core shared VM, CPython 3.11).
 #: Each further level costs about 3.5 times more.
 _MAX_LEVEL = 14
 
@@ -205,6 +205,16 @@ def enumerate_marked(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(level)
 
 
+def _marked_rows(n: int) -> list[str]:
+    """The rows of the level-n marked text listing, "k0,k1,...", one per
+    sequence of :func:`_marked_level`, in its order, each written by one
+    translate with no tuple of entries.  The rows go in a new list, so the
+    whole level is freed at once after them (written in place, the rows
+    interleave with the freed sequences, and catalog --classes marked
+    --n 14 peaks 20 MB higher)."""
+    return [rep.translate(_COMMA_DECIMAL)[1:] for rep in _marked_level(n)]
+
+
 def u1_key(seq: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Connected-sum class key of a marked sequence.
 
@@ -289,14 +299,16 @@ _Key = tuple[str, ...]
 _Table = dict[str, tuple[str, int, bool]]
 
 
-def _class_fields(n: int, table: _Table, keys: list[_Key]) -> Iterator[tuple]:
+def _class_fields(n: int, table: dict, keys: list) -> Iterator[tuple]:
     """Per block multiset key, in the given order: its canonical member as
     text, member_count, m and slack, every one in closed form from the rows
     of :func:`_block_table` for the key's blocks B_1 <= ... <= B_t, with no
-    analysis and no member.  The text listing writes these fields as they
-    come, and :func:`_build_classes` reads them into its records, so each
-    field has this one formula.  With w = sum (|B| + 1) and lead = n + 1 - w
-    spare ones:
+    analysis and no member.  The blocks of the keys and of the table are
+    all packed or all decoded into tuples, as the records hold them: only
+    their lengths and their equality are read.  The text listing writes
+    these fields as they come, and :func:`_build_classes` reads them into
+    its records, so each field has this one formula.  With
+    w = sum (|B| + 1) and lead = n + 1 - w spare ones:
 
     - canonical = (1,) * lead + B_1 + (1,) + ... + B_t + (1,), the least
       member: a block followed by a one is never a prefix of another, so key
@@ -332,19 +344,41 @@ def _class_fields(n: int, table: _Table, keys: list[_Key]) -> Iterator[tuple]:
         yield ones[lead - 1] + tail, count, m, lead - 1 if t else None
 
 
-def _build_classes(n: int, table: _Table, keys: list[_Key]) -> list[CatalogClass]:
+def _build_classes(n: int, table: dict, keys: list) -> list[CatalogClass]:
     """One record per block multiset key, in the keys' order, from the
-    fields of :func:`_class_fields`; canonical is read back from its text,
-    u1_key is the key decoded into tuples, and l is the absolute differences
-    of (0, canonical, 0).  Only the library and the JSON listing build
+    fields of :func:`_class_fields`, with the keys and the table's blocks
+    decoded (see :func:`_record_keys`); canonical is read back from its
+    text, u1_key is the key itself, and l is the absolute differences of
+    (0, canonical, 0).  Only the library and the JSON listing build
     records: the text listing writes the fields straight away."""
     classes = []
     for key, (text, count, m, slack) in zip(keys, _class_fields(n, table, keys)):
         canonical = tuple(map(int, text.split(",")))
         l = tuple(map(abs, map(sub, canonical + (0,), (0,) + canonical)))
-        u1 = tuple([tuple(map(ord, block)) for block in key])
-        classes.append(CatalogClass(canonical, u1, m, l, slack, count))
+        classes.append(CatalogClass(canonical, key, m, l, slack, count))
     return classes
+
+
+def _decode_keys(table: _Table, keys: list) -> dict[str, tuple[int, ...]]:
+    """Decode the packed keys in place, each block into the tuple of its
+    entries, made once per block of the table and shared by every key that
+    holds it; each packed key is freed as its tuple takes its place.
+    Returns the blocks' tuples by packed block."""
+    decoded = {block: tuple(map(ord, block)) for block in table}
+    for i, key in enumerate(keys):
+        keys[i] = tuple([decoded[block] for block in key])
+    return decoded
+
+
+def _record_keys(n: int, cache: CatalogCache | None) -> tuple[dict, list]:
+    """:func:`_u1_keys` for the records: the table keyed by each block's
+    tuple and the keys decoded in place into those same tuples, which the
+    records then hold as their u1_key.  :func:`_class_fields` reads blocks
+    of either form, as long as the table and the keys agree, and the packed
+    table and keys are freed on return, before any record is built."""
+    table, keys = _u1_keys(n, cache)
+    decoded = _decode_keys(table, keys)
+    return {decoded[block]: row for block, row in table.items()}, keys
 
 
 def _windows(n: int) -> Iterator[list[tuple[str, int, int]]]:
@@ -432,7 +466,7 @@ def u1_classes(n: int) -> list[CatalogClass]:
     """The level-n circle-action classes, one per block multiset, sorted by
     canonical member; delta(n) is their number, checked against the closed
     form of :func:`growth_report`."""
-    return _build_classes(n, *_u1_keys(n, None))
+    return _build_classes(n, *_record_keys(n, None))
 
 
 def family_lebrun(n: int) -> list[SequenceAnalysis]:
@@ -577,13 +611,15 @@ class CatalogCache:
 
     A version-4 file is ``{"version": 4, "n": n, "classes": [key, ...]}``,
     one block multiset key per class, in canonical order, each block a list
-    of its entries; in memory the keys are packed (see :func:`_block_keys`).
-    Every field of a class derives from its key, so a hit writes its listing
-    from the keys, as a miss does.  load parses no float and no NaN or
-    infinity, and checks that each distinct block is one of the miss's own
-    blocks, the keys of the level's :func:`_block_table` (whose entries all
-    exceed 1, so no boolean passes), that each key is sorted, that no key is
-    heavier than n and that the keys are distinct.  Such keys are distinct
+    of its entries, as load returns them and store takes them.  The catalog
+    itself reads and writes the packed keys of :func:`_block_keys` by _load
+    and _store, with the same checks and the same bytes.  Every field of a
+    class derives from its key, so a hit writes its listing from the keys,
+    as a miss does.  load parses no float and no NaN or infinity, and
+    checks that each distinct block is one of the miss's own blocks, the
+    keys of the level's :func:`_block_table` (whose entries all exceed 1,
+    so no boolean passes), that each key is sorted, that no key is heavier
+    than n and that the keys are distinct.  Such keys are distinct
     members of the set of all block multisets of weight <= n, which has
     delta(n) members; so there are delta(n) of them exactly when none is
     missing, and then they are the miss's keys.  load returns them in
@@ -601,16 +637,31 @@ class CatalogCache:
     def path(self, n: int) -> Path:
         return self.directory / f"catalog_n{n}.json"
 
-    def load(self, n: int, table: _Table | None = None) -> list[_Key] | None:
-        """The level-n keys from the file, or None for a miss.  table is the
-        level's :func:`_block_table` when the caller has built it already;
-        load builds it otherwise."""
-        # a level outside 0..14 has no classes to load; a missing,
-        # unreadable, truncated, too deeply nested or wrongly shaped file is
-        # a miss, and so is a float, NaN or infinity anywhere in it, or an
-        # entry that is no code point
+    def load(self, n: int) -> list[tuple[tuple[int, ...], ...]] | None:
+        """The level-n keys from the file, in canonical order, each block the
+        tuple of its entries, or None for a miss."""
+        # a level outside 0..14 has no classes to load
         if not 0 <= n <= _MAX_LEVEL:
             return None
+        table = _block_table(n)
+        keys = self._load(n, table)
+        if keys is not None:
+            _decode_keys(table, keys)
+        return keys
+
+    def store(self, n: int, keys: list[tuple[tuple[int, ...], ...]]) -> Path | None:
+        """Write the level-n keys, each block the tuple of its entries; the
+        path written, or None when it cannot be written."""
+        payload = {"version": self.VERSION, "n": n, "classes": keys}
+        return self._write(n, json.dumps(payload, sort_keys=True) + "\n")
+
+    def _load(self, n: int, table: _Table) -> list[_Key] | None:
+        """load for the catalog itself, with the keys packed: n is a checked
+        level and table its :func:`_block_table`, which the caller has
+        built."""
+        # a missing, unreadable, truncated, too deeply nested or wrongly
+        # shaped file is a miss, and so is a float, NaN or infinity anywhere
+        # in it, or an entry that is no code point
         try:
             data = json.loads(
                 self.path(n).read_text(encoding="utf-8"),
@@ -623,9 +674,7 @@ class CatalogCache:
             blocks = {block for key in keys for block in key}
         except (OSError, ValueError, LookupError, TypeError, OverflowError, RecursionError):
             return None
-        if len(keys) != _deltas(n)[n]:
-            return None
-        if not blocks <= (_block_table(n) if table is None else table).keys():
+        if len(keys) != _deltas(n)[n] or not blocks <= table.keys():
             return None
         weights = [sum(map(len, key)) + len(key) for key in keys]
         if max(weights) > n or len(set(keys)) != len(keys):
@@ -634,21 +683,28 @@ class CatalogCache:
             return None
         return [key for _, key in sorted(zip(weights, keys))]
 
-    def store(self, n: int, keys: list[_Key]) -> Path | None:
+    def _store(self, n: int, keys: list[_Key]) -> Path | None:
+        """store for the catalog itself, from the packed keys of
+        :func:`_block_keys`, whose entries the tests tie to
+        :data:`_COMMA_DECIMAL`: the bytes store writes for them decoded.
+        json.dumps(..., sort_keys=True) separates them by ", " alone, so
+        every comma of the joined text becomes ", ".  No key is decoded, so
+        a miss holds no second copy of its keys: a fresh catalog --n 14
+        miss peaks at 265 MB this way and at 362 MB through store (2-core
+        VM, CPython 3.11).  store takes keys from outside the catalog, so
+        it keeps json.dumps."""
+        classes = ",".join([
+            "[" + ",".join(["[" + b.translate(_COMMA_DECIMAL)[1:] + "]" for b in key]) + "]"
+            for key in keys
+        ]).replace(",", ", ")
+        return self._write(n, f'{{"classes": [{classes}], "n": {n}, "version": {self.VERSION}}}\n')
+
+    def _write(self, n: int, text: str) -> Path | None:
         path = self.path(n)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
         except OSError:
             return None
-        # the text json.dumps(..., sort_keys=True) gives for the version, n
-        # and the keys with each block a list of its entries, written from
-        # the packed blocks: its separators are all ", ", and no other comma
-        # occurs in it
-        classes = ",".join([
-            "[" + ",".join(["[" + b.translate(_COMMA_DECIMAL)[1:] + "]" for b in key]) + "]"
-            for key in keys
-        ]).replace(",", ", ")
-        text = f'{{"classes": [{classes}], "n": {n}, "version": {self.VERSION}}}\n'
         # write beside the target and rename over it, so a reader never sees
         # a partly written file
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -671,15 +727,15 @@ def _u1_keys(n: int, cache: CatalogCache | None) -> tuple[_Table, list[_Key]]:
     above the enumeration limit, is rejected before any file is read."""
     _check_level(n)
     table = _block_table(n)
-    keys = None if cache is None else cache.load(n, table)
+    keys = None if cache is None else cache._load(n, table)
     if keys is None:
         keys = _block_keys(n, table)
         if cache is not None:
-            cache.store(n, keys)
+            cache._store(n, keys)
     return table, keys
 
 
 def u1_classes_cached(n: int, cache: CatalogCache | None = None) -> list[CatalogClass]:
     """u1_classes with a read-through JSON cache; a negative n, or one above
     the enumeration limit, is rejected before any file is read."""
-    return _build_classes(n, *_u1_keys(n, cache))
+    return _build_classes(n, *_record_keys(n, cache))

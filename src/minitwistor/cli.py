@@ -191,9 +191,7 @@ def _cmd_catalog(args: argparse.Namespace) -> str:
         if args.format == "json":
             reps = cat.enumerate_marked(n)
             return dumps({"n": n, "count": len(reps), "classes": reps})
-        # each packed sequence is written by one translate, with no tuple
-        # of entries, and the level is dropped before the rows are joined
-        rows = [rep.translate(cat._COMMA_DECIMAL)[1:] for rep in cat._marked_level(n)]
+        rows = cat._marked_rows(n)
         header = f"n = {n}: {len(rows)} marked sequences up to reversal"
         return "\n  ".join([header, *rows]) + "\n"
     cache = None if args.no_cache else cat.CatalogCache(args.cache_dir)

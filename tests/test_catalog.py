@@ -36,6 +36,7 @@ from minitwistor.catalog import (
     _block_table,
     _build_classes,
     _marked_level,
+    _marked_rows,
     _windows,
 )
 from minitwistor.invariants import (
@@ -187,6 +188,7 @@ def test_packed_levels_match_the_tuple_generator():
         level = marked_tuples(n)
         assert [unpack(rep) for rep in _marked_level(n)] == list(level), n
         assert enumerate_marked(n) == level, n
+        assert _marked_rows(n) == [",".join(map(str, rep)) for rep in level], n
         if n:
             assert max(map(max, level)) == fibonacci(n + 1), n
 
@@ -621,19 +623,13 @@ def test_tables_delta_and_fibonacci_enumerate_nothing(count_calls):
     assert len(analyzed) == 15
 
 
-def loaded(cache, n):
-    """cache.load(n) with its packed keys decoded into tuples, or None."""
-    keys = cache.load(n)
-    return None if keys is None else [unpack_key(key) for key in keys]
-
-
 def test_cache_round_trip(tmp_path):
     cache = CatalogCache(tmp_path)
     classes = u1_classes_cached(4, cache)
     assert len(classes) == 7
     assert cache.path(4).exists()
     # load returns the keys, and the hit builds the miss's records from them
-    assert loaded(cache, 4) == [cls.u1_key for cls in classes]
+    assert cache.load(4) == [cls.u1_key for cls in classes]
     assert u1_classes_cached(4, cache) == classes
 
 
@@ -696,10 +692,10 @@ def test_cache_rejects_corruption(tmp_path):
     for text in texts:
         cache.path(3).write_text(text, encoding="utf-8")
         assert cache.load(3) is None, text
-        assert u1_classes_cached(3, cache) == classes and loaded(cache, 3) == keys
+        assert u1_classes_cached(3, cache) == classes and cache.load(3) == keys
     # keys in another order are the same classes: load sorts them
     cache.path(3).write_text(with_classes([[[2, 3]], [], [[2]]]), encoding="utf-8")
-    assert loaded(cache, 3) == keys
+    assert cache.load(3) == keys
     # at level 5: unsorted blocks, and a block holding a one in place of the
     # two blocks it joins
     classes = u1_classes_cached(5, cache)
@@ -709,7 +705,7 @@ def test_cache_rejects_corruption(tmp_path):
         cache.path(5).write_text(json.dumps(dict(good, n=5, classes=edited)), encoding="utf-8")
         assert cache.load(5) is None, new
         assert u1_classes_cached(5, cache) == classes
-        assert loaded(cache, 5) == [cls.u1_key for cls in classes]
+        assert cache.load(5) == [cls.u1_key for cls in classes]
     # a file for a negative level, or one above the limit, is a miss, and
     # the level is rejected before any file is read, by the library and by
     # the CLI
@@ -777,7 +773,7 @@ def test_edited_cache_file_prints_true_classes(tmp_path):
     payload = json.loads(path.read_text(encoding="utf-8"))
     payload["delta"] = 99
     path.write_text(json.dumps(payload), encoding="utf-8")
-    assert loaded(CatalogCache(tmp_path), 7) == [cls.u1_key for cls in u1_classes(7)]
+    assert CatalogCache(tmp_path).load(7) == [cls.u1_key for cls in u1_classes(7)]
     assert run_catalog(["--n", "7", "--cache-dir", str(tmp_path)]) == fresh
     # a dropped class, past the n <= 5 that KNOWN_DELTA covers
     del payload["classes"][5]
@@ -835,22 +831,20 @@ def test_cache_checks_each_block_where_the_count_cannot(tmp_path):
         keys = [cls.u1_key for cls in u1_classes(n)]
         edited = [new if key == old else key for key in keys]
         assert edited != keys and len(set(edited)) == len(edited) == len(keys)
-        # the rows of the edited blocks from their definition, as the table
-        # holds only valid blocks
-        rows = block_rows({block for key in edited for block in key})
-        table = {pack(block): row for block, row in rows.items()}
-        packed = [tuple(map(pack, key)) for key in edited]
-        assert sum(cls.member_count for cls in _build_classes(n, table, packed)) == comb(2 * n, n) // (n + 1)
+        # the rows of the edited blocks from their definition, as the
+        # level's table holds only valid blocks
+        table = block_rows({block for key in edited for block in key})
+        assert sum(cls.member_count for cls in _build_classes(n, table, edited)) == comb(2 * n, n) // (n + 1)
         cache = CatalogCache(tmp_path)
         cache.path(n).write_text(json.dumps({"version": 4, "n": n, "classes": edited}), encoding="utf-8")
         assert cache.load(n) is None, new
         assert run_catalog(["--n", str(n), "--cache-dir", str(tmp_path)]) == fresh
-        assert loaded(cache, n) == keys
+        assert cache.load(n) == keys
 
 
 def test_cache_store_leaves_no_temporary_file(tmp_path):
     cache = CatalogCache(tmp_path)
-    keys = _block_keys(4, _block_table(4))
+    keys = [cls.u1_key for cls in u1_classes(4)]
     assert cache.store(4, keys) == cache.path(4)
     assert os.listdir(tmp_path) == [cache.path(4).name]
     # a store that cannot rename over its target fails and cleans up
@@ -868,7 +862,7 @@ def test_cache_reads_truncated_file_as_miss(tmp_path):
         cache.path(4).write_text(text[:size], encoding="utf-8")
         assert cache.load(4) is None
         assert u1_classes_cached(4, cache) == classes
-        assert loaded(cache, 4) == [cls.u1_key for cls in classes]
+        assert cache.load(4) == [cls.u1_key for cls in classes]
 
 
 def test_cache_hit_calls_no_validator_or_generator(tmp_path, count_calls):
@@ -945,24 +939,41 @@ def test_cache_file_schema(tmp_path):
     assert payload["version"] == CatalogCache.VERSION == 4 and payload["n"] == 3
     # each class is its block multiset key, in canonical order
     assert payload["classes"] == [[], [[2]], [[2, 3]]]
-    keys = _block_keys(5, _block_table(5))
+    keys = [cls.u1_key for cls in u1_classes(5)]
     payload = json.loads(CatalogCache(tmp_path).store(5, keys).read_text(encoding="utf-8"))
-    assert payload["classes"] == [list(map(list, cls.u1_key)) for cls in u1_classes(5)]
+    assert payload["classes"] == [list(map(list, key)) for key in keys]
 
 
 def test_store_writes_the_decoded_payload(tmp_path):
-    # store writes the text itself; the format is still the bytes json.dumps
-    # gives for the keys decoded into lists, which are the classes' u1_keys,
-    # down to the one empty key of levels 0 and 1
+    # a miss writes its packed keys with _store, which writes the text
+    # itself: the bytes store writes for the keys decoded, the classes'
+    # u1_keys, which are json.dumps of them; down to the one empty key of
+    # levels 0 and 1.  _load reads back the packed keys, load the decoded
     cache = CatalogCache(tmp_path)
     for n in (0, 1, 3, 7, 9):
-        keys = _block_keys(n, _block_table(n))
-        decoded = [[list(block) for block in unpack_key(key)] for key in keys]
-        assert decoded == [list(map(list, cls.u1_key)) for cls in u1_classes(n)]
+        decoded = [cls.u1_key for cls in u1_classes_cached(n, cache)]
         payload = {"version": 4, "n": n, "classes": decoded}
         expected = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        assert cache.store(n, keys).read_bytes() == expected, n
-        assert cache.load(n) == keys
+        assert cache.path(n).read_bytes() == expected, n
+        table = _block_table(n)
+        keys = _block_keys(n, table)
+        assert [unpack_key(key) for key in keys] == decoded
+        assert cache._load(n, table) == keys
+        assert cache.load(n) == decoded
+        assert cache.store(n, decoded).read_bytes() == expected, n
+        assert cache._store(n, keys).read_bytes() == expected, n
+
+
+def test_records_share_their_blocks(tmp_path):
+    # each block is decoded once, and every record and loaded key holding it
+    # holds that one tuple
+    for keys in (
+        [cls.u1_key for cls in u1_classes(9)],
+        [cls.u1_key for cls in u1_classes_cached(9, CatalogCache(tmp_path))],
+        CatalogCache(tmp_path).load(9),
+    ):
+        blocks = [block for key in keys for block in key]
+        assert len({id(block) for block in blocks}) == len(set(blocks)) < len(blocks)
 
 
 def old_text_row(cls):
@@ -1035,6 +1046,6 @@ def test_cache_hit_is_proved_by_the_class_count(tmp_path):
     shuffled = stored[::-1]
     random.Random(7).shuffle(shuffled)
     cache.path(n).write_text(json.dumps(dict(payload, classes=shuffled)), encoding="utf-8")
-    assert loaded(cache, n) == keys
+    assert cache.load(n) == keys
     assert run_catalog(["--n", str(n), "--cache-dir", str(tmp_path)]) == fresh
     assert cache.path(n).read_text(encoding="utf-8") != text
