@@ -24,20 +24,26 @@ points are its entries, chr(k) for entry k, each at most _MAX_ENTRY = 610,
 so one or two bytes per entry.  A str compares code point by code point,
 and a proper prefix first, exactly as a tuple compares entry by entry, and
 code points compare as the integers they are; so sorting, the reversal
-tests, hashing and equality give what the tuples would, in C.  The text
-listings render entries by str.translate with :data:`_COMMA_DECIMAL`, and
-the public results (enumerate_marked, CatalogClass, CatalogCache.load and
+tests, hashing and equality give what the tuples would, in C.  Packed
+sequences are rendered a listing at a time by :func:`_listing`: joined by
+the code point 0, which no entry is, into one str that one
+codecs.charmap_encode renders through :data:`_ENTRY_BYTES`.  The marked
+text listing is one such call and the block table one per weight; the
+cache file is written from the block table's pieces, each block's JSON
+text made once, with no call per row or per block occurrence.
+The public results (enumerate_marked, CatalogClass, CatalogCache.load and
 store, the cache file) hold the entries as integers.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations, permutations, product
+from itertools import accumulate, combinations, islice, permutations, product
 from math import comb, factorial, perm
 from operator import sub
 from pathlib import Path
@@ -62,12 +68,13 @@ FIBONACCI_TABLE = {
 
 
 #: The largest level the enumeration serves.  Level 14 has C_14 = 2,674,440
-#: sequences and 604,297 classes.  In a fresh CLI process each text listing,
-#: catalog --n 14 and catalog --classes marked --n 14, takes 2.9-4.4 s and
-#: 248-250 MB of peak RSS.  enumerate_marked(14), which decodes the level into
-#: tuples, takes 2.7-3.3 s and 264 MB, and u1_classes(14), which builds a
-#: record per class, 10.4-11.4 s and 554 MB (2-core shared VM, CPython 3.11).
-#: Each further level costs about 3.5 times more.
+#: sequences and 604,297 classes.  In a fresh CLI process the text listing
+#: catalog --classes marked --n 14 takes 2.1-2.3 s and 157 MB of peak RSS,
+#: and catalog --n 14 2.9-3.6 s and 250 MB.  enumerate_marked(14), which
+#: decodes the level into tuples, takes about 3.4 s and 264 MB, and
+#: u1_classes(14), which builds a record per class, 10.5 s and 553 MB
+#: (2-core shared VM, CPython 3.11).  Each further level costs about 3.5
+#: times more.
 _MAX_LEVEL = 14
 
 
@@ -95,11 +102,30 @@ def _check_family(n: int) -> None:
 #: beside it.  It bounds the tables that render entries, here and in the CLI.
 _MAX_ENTRY = 610
 
-#: Entry k as the text ",k", indexed by k: str.translate renders a packed
-#: sequence with it in one call.  An entry past the table would pass through
-#: untranslated, so a test ties _MAX_ENTRY to the largest entry at
-#: _MAX_LEVEL.
-_COMMA_DECIMAL = [f",{k}" for k in range(_MAX_ENTRY + 1)]
+#: Entry k as the bytes ",k", indexed by k, for the entries 1.._MAX_ENTRY,
+#: and the code point 0, which no entry is, as a row break (a line break
+#: and a two-space indent) followed by the leading 1 of the next row.
+#: codecs.charmap_encode renders a packed str through it in one call, and
+#: raises UnicodeEncodeError on a code point past it.
+_ENTRY_BYTES = (b"\n  1", *[b",%d" % k for k in range(1, _MAX_ENTRY + 1)])
+
+
+def _listing(packed: list[str]) -> str:
+    """The packed sequences, each starting with its 1, as the rows of a
+    text listing, each row "k0,k1,..." behind a row break.  The sequences
+    are joined behind a code point 0 each, one replace folds each leading 1
+    into the 0 before it, and one charmap_encode through
+    :data:`_ENTRY_BYTES` renders the whole.  The list is consumed: it is
+    emptied once joined, so a caller that passes its only reference frees
+    the sequences before they are rendered."""
+    packed.insert(0, "")
+    text = "\x00".join(packed)
+    packed.clear()
+    data = codecs.charmap_encode(text.replace("\x00\x01", "\x00"), "strict", _ENTRY_BYTES)[0]
+    # the joined text outlives the replace until the encode is done: freed
+    # before it, it lets the C heap keep 7 MB more in catalog --n 14
+    del text
+    return data.decode("ascii")
 
 
 def _marked_level(n: int) -> list[str]:
@@ -159,7 +185,8 @@ def _marked_level(n: int) -> list[str]:
                     child = "\x01" + chr(x) + p[1:]
                     if x < b or child <= child[::-1]:
                         keep(child)
-                if a == 1:
+                if a == 1 or a > b + 1:
+                    # no middle mediant is kept, nor the one at last
                     continue
                 # the middle mediants in one pass with the scan for stop,
                 # u, v, w = p[i-2], p[i-1], p[i]: the mediant at i is built,
@@ -205,14 +232,13 @@ def enumerate_marked(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(level)
 
 
-def _marked_rows(n: int) -> list[str]:
-    """The rows of the level-n marked text listing, "k0,k1,...", one per
-    sequence of :func:`_marked_level`, in its order, each written by one
-    translate with no tuple of entries.  The rows go in a new list, so the
-    whole level is freed at once after them (written in place, the rows
-    interleave with the freed sequences, and catalog --classes marked
-    --n 14 peaks 20 MB higher)."""
-    return [rep.translate(_COMMA_DECIMAL)[1:] for rep in _marked_level(n)]
+def _marked_rows(n: int) -> str:
+    """The body of the level-n marked text listing, which goes right after
+    its header: one row "k0,k1,..." per sequence of :func:`_marked_level`,
+    in its order, each behind a row break, rendered by :func:`_listing` in
+    one call with no tuple of entries.  The level is freed once it is
+    joined, before it is rendered."""
+    return _listing(_marked_level(n))
 
 
 def u1_key(seq: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -419,15 +445,24 @@ def _block_table(n: int) -> _Table:
     canonical text, its share m_B - 1 of the class's step count (see
     :func:`_class_fields`) and whether it differs from its reversal.  A
     block's lesser orientation is the interior of the lesser orientation of
-    its window.  The table is built once per request, and feeds
-    :func:`_block_keys`, :func:`_class_fields` and the cache's check."""
-    return {
-        window[1:-1]: (window[1:].translate(_COMMA_DECIMAL), share, window != reverse)
-        for windows in _windows(n)
-        for window, _, share in windows
-        for reverse in [window[::-1]]
-        if window <= reverse
-    }
+    its window.  The pieces of a weight are its kept windows rendered by one
+    :func:`_listing` call, a row "1,B[0],...,1" each, and split at the row
+    breaks with their leading 1s: one call per weight keeps the rendered
+    text to one weight's.  The table is built once per request, and feeds
+    :func:`_block_keys`, :func:`_class_fields`, the cache's check and the
+    cache file."""
+    table = {}
+    for windows in _windows(n):
+        # popped from the end, so that the list shrinks as the table grows;
+        # the listing starts with a row break, so the last piece is empty
+        pieces = _listing([w for w, _, _ in windows if w <= w[::-1]]).split("\n  1")
+        pieces.reverse()
+        pieces.pop()
+        for window, _, share in windows:
+            reverse = window[::-1]
+            if window <= reverse:
+                table[window[1:-1]] = (pieces.pop(), share, window != reverse)
+    return table
 
 
 def _block_keys(n: int, table: _Table) -> list[_Key]:
@@ -653,7 +688,7 @@ class CatalogCache:
         """Write the level-n keys, each block the tuple of its entries; the
         path written, or None when it cannot be written."""
         payload = {"version": self.VERSION, "n": n, "classes": keys}
-        return self._write(n, json.dumps(payload, sort_keys=True) + "\n")
+        return self._write(n, [json.dumps(payload, sort_keys=True), "\n"])
 
     def _load(self, n: int, table: _Table) -> list[_Key] | None:
         """load for the catalog itself, with the keys packed: n is a checked
@@ -683,23 +718,37 @@ class CatalogCache:
             return None
         return [key for _, key in sorted(zip(weights, keys))]
 
-    def _store(self, n: int, keys: list[_Key]) -> Path | None:
+    def _store(self, n: int, table: _Table, keys: list[_Key]) -> Path | None:
         """store for the catalog itself, from the packed keys of
-        :func:`_block_keys`, whose entries the tests tie to
-        :data:`_COMMA_DECIMAL`: the bytes store writes for them decoded.
-        json.dumps(..., sort_keys=True) separates them by ", " alone, so
-        every comma of the joined text becomes ", ".  No key is decoded, so
-        a miss holds no second copy of its keys: a fresh catalog --n 14
-        miss peaks at 265 MB this way and at 362 MB through store (2-core
-        VM, CPython 3.11).  store takes keys from outside the catalog, so
-        it keeps json.dumps."""
-        classes = ",".join([
-            "[" + ",".join(["[" + b.translate(_COMMA_DECIMAL)[1:] + "]" for b in key]) + "]"
-            for key in keys
-        ]).replace(",", ", ")
-        return self._write(n, f'{{"classes": [{classes}], "n": {n}, "version": {self.VERSION}}}\n')
+        :func:`_block_keys` and the table they were built from: the bytes
+        store writes for them decoded.  Each block's JSON text is made once,
+        by :func:`_block_texts`, and each key is its blocks' texts joined,
+        looked up by block.  No key is decoded, so a miss holds no second
+        copy of its keys, and the file is written a slice of keys at a
+        time, so its text is never held whole: a fresh catalog --n 14 miss
+        peaks at 261 MB this way and at 278 MB with the text held whole
+        (2-core VM, CPython 3.11).  store takes keys from outside the
+        catalog, so it keeps json.dumps."""
+        block_text = _block_texts(table).__getitem__
+        step = 1 << 12
 
-    def _write(self, n: int, text: str) -> Path | None:
+        def text() -> Iterator[str]:
+            # the keys joined by "], [", inside the brackets of the first
+            # and the last, a slice of keys at a time
+            yield '{"classes": [['
+            for start in range(0, len(keys), step):
+                if start:
+                    yield "], ["
+                yield "], [".join(
+                    [", ".join(map(block_text, key)) for key in keys[start : start + step]]
+                )
+            yield f']], "n": {n}, "version": {self.VERSION}}}\n'
+
+        return self._write(n, text())
+
+    def _write(self, n: int, text: Iterable[str]) -> Path | None:
+        """Write the file of level n from its text, in parts; the path
+        written, or None when it cannot be written."""
         path = self.path(n)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -709,12 +758,29 @@ class CatalogCache:
         # a partly written file
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(text, encoding="utf-8")
+            with tmp.open("w", encoding="utf-8") as handle:
+                handle.writelines(text)
             os.replace(tmp, path)
         except OSError:
             tmp.unlink(missing_ok=True)
             return None
         return path
+
+
+def _block_texts(table: _Table) -> dict[str, str]:
+    """Each block of the table with its JSON text "[B[0], ..., B[-1]]", as
+    json.dumps separates it, made from its piece ",B[0],...,B[-1],1" by a
+    few replaces over the pieces of 2^14 blocks at a time, which keeps the
+    joined text of each replace small beside the texts themselves."""
+    texts: list[str] = []
+    rows = iter(table.values())
+    while chunk := [piece for piece, _, _ in islice(rows, 1 << 14)]:
+        # the pieces joined by "\x00" hold ",1\x00," only where one piece
+        # ends and the next begins, since no entry of a block is 1
+        pieces = "\x00".join(chunk)
+        pieces = f"[{pieces[1:-2]}]".replace(",1\x00,", "]\x00[").replace(",", ", ")
+        texts += pieces.split("\x00")
+    return dict(zip(table, texts))
 
 
 def _reject_number(text: str):
@@ -731,7 +797,7 @@ def _u1_keys(n: int, cache: CatalogCache | None) -> tuple[_Table, list[_Key]]:
     if keys is None:
         keys = _block_keys(n, table)
         if cache is not None:
-            cache._store(n, keys)
+            cache._store(n, table, keys)
     return table, keys
 
 

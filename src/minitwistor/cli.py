@@ -191,9 +191,9 @@ def _cmd_catalog(args: argparse.Namespace) -> str:
         if args.format == "json":
             reps = cat.enumerate_marked(n)
             return dumps({"n": n, "count": len(reps), "classes": reps})
-        rows = cat._marked_rows(n)
-        header = f"n = {n}: {len(rows)} marked sequences up to reversal"
-        return "\n  ".join([header, *rows]) + "\n"
+        # the level is checked against its count as it is built
+        body = cat._marked_rows(n)
+        return f"n = {n}: {cat._marked_count(n)} marked sequences up to reversal{body}\n"
     cache = None if args.no_cache else cat.CatalogCache(args.cache_dir)
     if args.format == "json":
         # members are built here, by arrangement, and nowhere on the text path

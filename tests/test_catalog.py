@@ -29,12 +29,13 @@ from minitwistor import (
 )
 from minitwistor import catalog
 from minitwistor.catalog import (
-    _COMMA_DECIMAL,
+    _ENTRY_BYTES,
     _MAX_ENTRY,
     _MAX_LEVEL,
     _block_keys,
     _block_table,
     _build_classes,
+    _listing,
     _marked_level,
     _marked_rows,
     _windows,
@@ -188,21 +189,23 @@ def test_packed_levels_match_the_tuple_generator():
         level = marked_tuples(n)
         assert [unpack(rep) for rep in _marked_level(n)] == list(level), n
         assert enumerate_marked(n) == level, n
-        assert _marked_rows(n) == [",".join(map(str, rep)) for rep in level], n
+        assert _marked_rows(n) == "".join("\n  " + ",".join(map(str, rep)) for rep in level), n
         if n:
             assert max(map(max, level)) == fibonacci(n + 1), n
 
 
 def test_entry_tables_cover_the_largest_entry():
-    # str.translate passes an entry past its table through untranslated, so
-    # the tables must reach the largest entry at the level limit, F(15) =
+    # the tables reach exactly the largest entry at the level limit, F(15) =
     # 610, the peak of the maximal-step sequence (the largest entry of each
-    # level is checked by enumeration above, through level 12)
+    # level is checked by enumeration above, through level 12), and an
+    # entry past the rendering table raises
     peak = family_fibonacci(_MAX_LEVEL)
     assert max(peak) == _MAX_ENTRY == fibonacci(_MAX_LEVEL + 1)
-    assert len(_COMMA_DECIMAL) == len(_DECIMAL) == _MAX_ENTRY + 1
-    assert _COMMA_DECIMAL == ["," + _DECIMAL[k] for k in range(_MAX_ENTRY + 1)]
-    assert pack(peak).translate(_COMMA_DECIMAL)[1:] == ",".join(map(str, peak))
+    assert len(_ENTRY_BYTES) == len(_DECIMAL) == _MAX_ENTRY + 1
+    assert _ENTRY_BYTES[1:] == tuple(f",{_DECIMAL[k]}".encode() for k in range(1, _MAX_ENTRY + 1))
+    assert _listing([pack(peak)]) == "\n  " + ",".join(map(str, peak))
+    with pytest.raises(UnicodeEncodeError):
+        _listing([pack(peak + (_MAX_ENTRY + 1, 1))])
 
 
 def leftmost_removable_parent(c):
@@ -854,6 +857,18 @@ def test_cache_store_leaves_no_temporary_file(tmp_path):
     assert os.listdir(tmp_path / "blocked") == [blocked.path(4).name]
 
 
+def test_cache_write_failing_midway_leaves_no_file(tmp_path):
+    # the file is written in parts; a part that fails closes the temporary
+    # file and removes it, and nothing is renamed over the target
+    def parts():
+        yield '{"classes": [['
+        raise OSError("no space left on device")
+
+    cache = CatalogCache(tmp_path)
+    assert cache._write(3, parts()) is None
+    assert os.listdir(tmp_path) == []
+
+
 def test_cache_reads_truncated_file_as_miss(tmp_path):
     cache = CatalogCache(tmp_path)
     classes = u1_classes_cached(4, cache)
@@ -961,7 +976,23 @@ def test_store_writes_the_decoded_payload(tmp_path):
         assert cache._load(n, table) == keys
         assert cache.load(n) == decoded
         assert cache.store(n, decoded).read_bytes() == expected, n
-        assert cache._store(n, keys).read_bytes() == expected, n
+        assert cache._store(n, table, keys).read_bytes() == expected, n
+
+
+def test_store_writes_two_byte_entries(tmp_path):
+    # level 13 is the first whose entries exceed 255 (F(14) = 377), so its
+    # packed blocks hold two bytes per code point: the file _store writes
+    # for them is still json.dumps of the keys decoded, and reads back
+    n = 13
+    table = _block_table(n)
+    keys = _block_keys(n, table)
+    decoded = [unpack_key(key) for key in keys]
+    assert max(entry for key in decoded for block in key for entry in block) == fibonacci(n + 1)
+    payload = {"version": 4, "n": n, "classes": decoded}
+    expected = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    cache = CatalogCache(tmp_path)
+    assert cache._store(n, table, keys).read_bytes() == expected
+    assert cache._load(n, table) == keys
 
 
 def test_records_share_their_blocks(tmp_path):

@@ -61,6 +61,10 @@ GOLDEN = (
     # recorded from the blocks read off the enumerated levels, before they
     # were generated directly
     ("catalog --n 12 --no-cache", "7a341a3dd91839d1dcc94e75c844e8cf66a90afb9988534def377be0a45bb061"),
+    # the first level with entries above 255 (F(14) = 377), recorded while
+    # the rows were still rendered one str.translate per row and block
+    ("catalog --classes marked --n 13 --no-cache", "6185e1603b079864a02fbf6a9f158a35a6365f96a8e1a4bb655d5132c005efbb"),
+    ("catalog --n 13 --no-cache", "dc060ec9987c926d18d2b6d40a5197eaa640631b8ad5a967053cf5e0fbc54965"),
 )
 
 
