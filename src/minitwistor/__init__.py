@@ -14,7 +14,6 @@ that tests its closed forms is not exported and is imported from
 """
 
 from .catalog import (
-    CatalogCache,
     CatalogClass,
     DeltaRow,
     FIBONACCI_TABLE,
@@ -25,7 +24,6 @@ from .catalog import (
     family_lebrun,
     growth_report,
     u1_classes,
-    u1_classes_cached,
     u1_key,
 )
 from .conic_bundle import (
@@ -76,7 +74,6 @@ __all__ = [
     "BinaryForm",
     "BlowUpSchedule",
     "BlowUpStage",
-    "CatalogCache",
     "CatalogClass",
     "DeltaRow",
     "DiscriminantReport",
@@ -116,7 +113,6 @@ __all__ = [
     "sequence_from_fan",
     "sequence_summary",
     "u1_classes",
-    "u1_classes_cached",
     "u1_key",
     "validate_lambdas",
     "validate_sequence",

@@ -31,8 +31,9 @@ codecs.charmap_encode renders through :data:`_ENTRY_BYTES`.  The marked
 text listing is one such call and the block table one per weight; the
 cache file is written from the block table's pieces, each block's JSON
 text made once, with no call per row or per block occurrence.
-The public results (enumerate_marked, CatalogClass, CatalogCache.load and
-store, the cache file) hold the entries as integers.
+The public results (enumerate_marked, CatalogClass) and the cache file hold
+the entries as integers.  :class:`CatalogCache`, which the package does not
+export, reads and writes the packed keys.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import codecs
 import json
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, islice, permutations, product
@@ -99,7 +100,7 @@ def _check_family(n: int) -> None:
 #: peak of family_fibonacci(14).  By induction over the insertions, a
 #: level-n entry is at most F(n + 1) and two adjacent ones sum to at most
 #: F(n + 2), since a mediant a + b puts a + (a + b) <= F(n + 1) + F(n + 2)
-#: beside it.  It bounds the tables that render entries, here and in the CLI.
+#: beside it.  It bounds the table that renders entries.
 _MAX_ENTRY = 610
 
 #: Entry k as the bytes ",k", indexed by k, for the entries 1.._MAX_ENTRY,
@@ -385,25 +386,18 @@ def _build_classes(n: int, table: dict, keys: list) -> list[CatalogClass]:
     return classes
 
 
-def _decode_keys(table: _Table, keys: list) -> dict[str, tuple[int, ...]]:
-    """Decode the packed keys in place, each block into the tuple of its
-    entries, made once per block of the table and shared by every key that
-    holds it; each packed key is freed as its tuple takes its place.
-    Returns the blocks' tuples by packed block."""
-    decoded = {block: tuple(map(ord, block)) for block in table}
-    for i, key in enumerate(keys):
-        keys[i] = tuple([decoded[block] for block in key])
-    return decoded
-
-
 def _record_keys(n: int, cache: CatalogCache | None) -> tuple[dict, list]:
     """:func:`_u1_keys` for the records: the table keyed by each block's
     tuple and the keys decoded in place into those same tuples, which the
-    records then hold as their u1_key.  :func:`_class_fields` reads blocks
-    of either form, as long as the table and the keys agree, and the packed
-    table and keys are freed on return, before any record is built."""
+    records then hold as their u1_key.  Each block's tuple is made once and
+    shared by every key that holds it, and each packed key is freed as its
+    tuple takes its place.  :func:`_class_fields` reads blocks of either
+    form, as long as the table and the keys agree, and the packed table and
+    keys are freed on return, before any record is built."""
     table, keys = _u1_keys(n, cache)
-    decoded = _decode_keys(table, keys)
+    decoded = {block: tuple(map(ord, block)) for block in table}
+    for i, key in enumerate(keys):
+        keys[i] = tuple([decoded[block] for block in key])
     return {decoded[block]: row for block, row in table.items()}, keys
 
 
@@ -641,20 +635,21 @@ def growth_report(n_max: int) -> tuple[DeltaRow, ...]:
 
 
 class CatalogCache:
-    """Per-n JSON cache of the class catalog, by default in
-    ~/.cache/minitwistor.
+    """Per-n JSON cache of the CLI's class catalog, by default in
+    ~/.cache/minitwistor.  It is not exported by the package: the CLI reads
+    and writes it through :func:`_u1_keys`, and load and store keep their
+    names because the benchmark's tracer wraps them by name.
 
     A version-4 file is ``{"version": 4, "n": n, "classes": [key, ...]}``,
     one block multiset key per class, in canonical order, each block a list
-    of its entries, as load returns them and store takes them.  The catalog
-    itself reads and writes the packed keys of :func:`_block_keys` by _load
-    and _store, with the same checks and the same bytes.  Every field of a
-    class derives from its key, so a hit writes its listing from the keys,
-    as a miss does.  load parses no float and no NaN or infinity, and
-    checks that each distinct block is one of the miss's own blocks, the
-    keys of the level's :func:`_block_table` (whose entries all exceed 1,
-    so no boolean passes), that each key is sorted, that no key is heavier
-    than n and that the keys are distinct.  Such keys are distinct
+    of its entries.  load is the one reader and store the one writer, both
+    on the packed keys of :func:`_block_keys` and the level's
+    :func:`_block_table`.  Every field of a class derives from its key, so a
+    hit writes its listing from the keys, as a miss does.  load parses no
+    float and no NaN or infinity, and checks that each distinct block is one
+    of the miss's own blocks, the keys of the table (whose entries all
+    exceed 1, so no boolean passes), that each key is sorted, that no key is
+    heavier than n and that the keys are distinct.  Such keys are distinct
     members of the set of all block multisets of weight <= n, which has
     delta(n) members; so there are delta(n) of them exactly when none is
     missing, and then they are the miss's keys.  load returns them in
@@ -672,28 +667,12 @@ class CatalogCache:
     def path(self, n: int) -> Path:
         return self.directory / f"catalog_n{n}.json"
 
-    def load(self, n: int) -> list[tuple[tuple[int, ...], ...]] | None:
-        """The level-n keys from the file, in canonical order, each block the
-        tuple of its entries, or None for a miss."""
-        # a level outside 0..14 has no classes to load
-        if not 0 <= n <= _MAX_LEVEL:
-            return None
-        table = _block_table(n)
-        keys = self._load(n, table)
-        if keys is not None:
-            _decode_keys(table, keys)
-        return keys
-
-    def store(self, n: int, keys: list[tuple[tuple[int, ...], ...]]) -> Path | None:
-        """Write the level-n keys, each block the tuple of its entries; the
-        path written, or None when it cannot be written."""
-        payload = {"version": self.VERSION, "n": n, "classes": keys}
-        return self._write(n, [json.dumps(payload, sort_keys=True), "\n"])
-
-    def _load(self, n: int, table: _Table) -> list[_Key] | None:
-        """load for the catalog itself, with the keys packed: n is a checked
-        level and table its :func:`_block_table`, which the caller has
-        built."""
+    def load(self, n: int, table: _Table) -> list[_Key] | None:
+        """The level-n keys from the file, packed, in canonical order, or
+        None for a miss: n is a checked level and table its
+        :func:`_block_table`, which the caller has built.  The key count is
+        checked before any key is packed, and the keys are packed in place,
+        so that each key's parsed lists are freed as it is packed."""
         # a missing, unreadable, truncated, too deeply nested or wrongly
         # shaped file is a miss, and so is a float, NaN or infinity anywhere
         # in it, or an entry that is no code point
@@ -705,11 +684,17 @@ class CatalogCache:
             )
             if data["version"] != self.VERSION or data["n"] != n:
                 return None
-            keys = [tuple(["".join(map(chr, block)) for block in key]) for key in data["classes"]]
-            blocks = {block for key in keys for block in key}
+            keys = data["classes"]
+            # the parsed file is dropped, so that the list is the only holder
+            # of the keys' lists; only a list can be packed in place
+            del data
+            if type(keys) is not list or len(keys) != _deltas(n)[n]:
+                return None
+            for i, key in enumerate(keys):
+                keys[i] = tuple(["".join(map(chr, block)) for block in key])
         except (OSError, ValueError, LookupError, TypeError, OverflowError, RecursionError):
             return None
-        if len(keys) != _deltas(n)[n] or not blocks <= table.keys():
+        if not {block for key in keys for block in key} <= table.keys():
             return None
         weights = [sum(map(len, key)) + len(key) for key in keys]
         if max(weights) > n or len(set(keys)) != len(keys):
@@ -718,17 +703,16 @@ class CatalogCache:
             return None
         return [key for _, key in sorted(zip(weights, keys))]
 
-    def _store(self, n: int, table: _Table, keys: list[_Key]) -> Path | None:
-        """store for the catalog itself, from the packed keys of
-        :func:`_block_keys` and the table they were built from: the bytes
-        store writes for them decoded.  Each block's JSON text is made once,
-        by :func:`_block_texts`, and each key is its blocks' texts joined,
-        looked up by block.  No key is decoded, so a miss holds no second
+    def store(self, n: int, table: _Table, keys: list[_Key]) -> Path | None:
+        """Write the level-n packed keys of :func:`_block_keys`, built from
+        table, in the bytes json.dumps(..., sort_keys=True) writes for them
+        decoded; the path written, or None when it cannot be written.  Each
+        block's JSON text is made once, by :func:`_block_texts`, and each
+        key is its blocks' texts joined, looked up by block.  No key is decoded, so a miss holds no second
         copy of its keys, and the file is written a slice of keys at a
         time, so its text is never held whole: a fresh catalog --n 14 miss
         peaks at 261 MB this way and at 278 MB with the text held whole
-        (2-core VM, CPython 3.11).  store takes keys from outside the
-        catalog, so it keeps json.dumps."""
+        (2-core VM, CPython 3.11)."""
         block_text = _block_texts(table).__getitem__
         step = 1 << 12
 
@@ -744,11 +728,6 @@ class CatalogCache:
                 )
             yield f']], "n": {n}, "version": {self.VERSION}}}\n'
 
-        return self._write(n, text())
-
-    def _write(self, n: int, text: Iterable[str]) -> Path | None:
-        """Write the file of level n from its text, in parts; the path
-        written, or None when it cannot be written."""
         path = self.path(n)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -759,7 +738,7 @@ class CatalogCache:
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             with tmp.open("w", encoding="utf-8") as handle:
-                handle.writelines(text)
+                handle.writelines(text())
             os.replace(tmp, path)
         except OSError:
             tmp.unlink(missing_ok=True)
@@ -793,11 +772,11 @@ def _u1_keys(n: int, cache: CatalogCache | None) -> tuple[_Table, list[_Key]]:
     above the enumeration limit, is rejected before any file is read."""
     _check_level(n)
     table = _block_table(n)
-    keys = None if cache is None else cache._load(n, table)
+    keys = None if cache is None else cache.load(n, table)
     if keys is None:
         keys = _block_keys(n, table)
         if cache is not None:
-            cache._store(n, table, keys)
+            cache.store(n, table, keys)
     return table, keys
 
 

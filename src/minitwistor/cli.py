@@ -69,21 +69,8 @@ def _parse_lambdas(text: str | None):
 _C_SIGN = {"+1": 1, "1": 1, "-1": -1}
 
 
-class _Decimal(dict):
-    """str of an integer, looked up for 0..catalog._MAX_ENTRY, the largest
-    entry of a catalog sequence, and computed past them."""
-
-    __slots__ = ()
-
-    def __missing__(self, k: int) -> str:
-        return str(k)
-
-
-_DECIMAL = _Decimal((k, str(k)) for k in range(cat._MAX_ENTRY + 1))
-
-
 def _format_seq(seq: tuple[int, ...]) -> str:
-    return ",".join(map(_DECIMAL.__getitem__, seq))
+    return ",".join(map(str, seq))
 
 
 # ---------------------------------------------------------------------------

@@ -17,18 +17,17 @@ import minitwistor
 from minitwistor import (
     FIBONACCI_TABLE,
     KNOWN_DELTA,
-    CatalogCache,
     enumerate_marked,
     family_fibonacci,
     family_involutive,
     family_lebrun,
     growth_report,
     u1_classes,
-    u1_classes_cached,
     u1_key,
 )
 from minitwistor import catalog
 from minitwistor.catalog import (
+    CatalogCache,
     _ENTRY_BYTES,
     _MAX_ENTRY,
     _MAX_LEVEL,
@@ -39,6 +38,7 @@ from minitwistor.catalog import (
     _marked_level,
     _marked_rows,
     _windows,
+    u1_classes_cached,
 )
 from minitwistor.invariants import (
     _multiplicities,
@@ -49,7 +49,7 @@ from minitwistor.invariants import (
     trace_divisor,
 )
 from minitwistor.errors import InternalInvariantError, InvalidParameterError
-from minitwistor.cli import _DECIMAL, main
+from minitwistor.cli import main
 
 from support import (
     block_rows,
@@ -201,8 +201,8 @@ def test_entry_tables_cover_the_largest_entry():
     # entry past the rendering table raises
     peak = family_fibonacci(_MAX_LEVEL)
     assert max(peak) == _MAX_ENTRY == fibonacci(_MAX_LEVEL + 1)
-    assert len(_ENTRY_BYTES) == len(_DECIMAL) == _MAX_ENTRY + 1
-    assert _ENTRY_BYTES[1:] == tuple(f",{_DECIMAL[k]}".encode() for k in range(1, _MAX_ENTRY + 1))
+    assert len(_ENTRY_BYTES) == _MAX_ENTRY + 1
+    assert _ENTRY_BYTES[1:] == tuple(f",{k}".encode() for k in range(1, _MAX_ENTRY + 1))
     assert _listing([pack(peak)]) == "\n  " + ",".join(map(str, peak))
     with pytest.raises(UnicodeEncodeError):
         _listing([pack(peak + (_MAX_ENTRY + 1, 1))])
@@ -626,13 +626,26 @@ def test_tables_delta_and_fibonacci_enumerate_nothing(count_calls):
     assert len(analyzed) == 15
 
 
+def load(cache, n):
+    """The cache's level-n keys, read by its one reader against the level's
+    own table and decoded as the records hold them, or None for a miss."""
+    keys = cache.load(n, _block_table(n))
+    return None if keys is None else [unpack_key(key) for key in keys]
+
+
+def store(cache, n):
+    """The cache's one writer on the level's own table and keys."""
+    table = _block_table(n)
+    return cache.store(n, table, _block_keys(n, table))
+
+
 def test_cache_round_trip(tmp_path):
     cache = CatalogCache(tmp_path)
     classes = u1_classes_cached(4, cache)
     assert len(classes) == 7
     assert cache.path(4).exists()
     # load returns the keys, and the hit builds the miss's records from them
-    assert cache.load(4) == [cls.u1_key for cls in classes]
+    assert load(cache, 4) == [cls.u1_key for cls in classes]
     assert u1_classes_cached(4, cache) == classes
 
 
@@ -694,11 +707,11 @@ def test_cache_rejects_corruption(tmp_path):
     ]
     for text in texts:
         cache.path(3).write_text(text, encoding="utf-8")
-        assert cache.load(3) is None, text
-        assert u1_classes_cached(3, cache) == classes and cache.load(3) == keys
+        assert load(cache, 3) is None, text
+        assert u1_classes_cached(3, cache) == classes and load(cache, 3) == keys
     # keys in another order are the same classes: load sorts them
     cache.path(3).write_text(with_classes([[[2, 3]], [], [[2]]]), encoding="utf-8")
-    assert cache.load(3) == keys
+    assert load(cache, 3) == keys
     # at level 5: unsorted blocks, and a block holding a one in place of the
     # two blocks it joins
     classes = u1_classes_cached(5, cache)
@@ -706,19 +719,21 @@ def test_cache_rejects_corruption(tmp_path):
     for old, new in (([[2], [2, 3]], [[2, 3], [2]]), ([[2], [2]], [[2, 1, 2]])):
         edited = [new if key == old else key for key in stored]
         cache.path(5).write_text(json.dumps(dict(good, n=5, classes=edited)), encoding="utf-8")
-        assert cache.load(5) is None, new
+        assert load(cache, 5) is None, new
         assert u1_classes_cached(5, cache) == classes
-        assert cache.load(5) == [cls.u1_key for cls in classes]
-    # a file for a negative level, or one above the limit, is a miss, and
-    # the level is rejected before any file is read, by the library and by
-    # the CLI
+        assert load(cache, 5) == [cls.u1_key for cls in classes]
+    # classes that are no list: a dict of delta(1) = 1 entry, whose key ""
+    # would pack as the one empty key of level 1
+    cache.path(1).write_text(json.dumps({"version": 4, "n": 1, "classes": {"": 0}}), encoding="utf-8")
+    assert load(cache, 1) is None
+    # a file for a negative level, or one above the limit, is never read:
+    # the level is rejected first, by the library and by the CLI
     for n, message in (
         (-1, "n must be nonnegative"),
         (15, "n = 15 is above the enumeration limit n <= 14"),
     ):
         payload = {"version": 4, "n": n, "classes": []}
         cache.path(n).write_text(json.dumps(payload), encoding="utf-8")
-        assert cache.load(n) is None
         with pytest.raises(InvalidParameterError, match=f"^{message}$"):
             u1_classes_cached(n, cache)
         out, err = io.StringIO(), io.StringIO()
@@ -738,7 +753,7 @@ def test_edited_cache_file_prints_true_classes(tmp_path):
     def catalog_after_edit(n, payload, fmt="text"):
         argv = ["--n", str(n), "--format", fmt, "--cache-dir", str(tmp_path)]
         CatalogCache(tmp_path).path(n).write_text(json.dumps(payload), encoding="utf-8")
-        assert CatalogCache(tmp_path).load(n) is None
+        assert load(CatalogCache(tmp_path), n) is None
         return run_catalog(argv)
 
     # format 2 stored every field, and a hit once printed them as edited
@@ -776,7 +791,7 @@ def test_edited_cache_file_prints_true_classes(tmp_path):
     payload = json.loads(path.read_text(encoding="utf-8"))
     payload["delta"] = 99
     path.write_text(json.dumps(payload), encoding="utf-8")
-    assert CatalogCache(tmp_path).load(7) == [cls.u1_key for cls in u1_classes(7)]
+    assert load(CatalogCache(tmp_path), 7) == [cls.u1_key for cls in u1_classes(7)]
     assert run_catalog(["--n", "7", "--cache-dir", str(tmp_path)]) == fresh
     # a dropped class, past the n <= 5 that KNOWN_DELTA covers
     del payload["classes"][5]
@@ -840,32 +855,32 @@ def test_cache_checks_each_block_where_the_count_cannot(tmp_path):
         assert sum(cls.member_count for cls in _build_classes(n, table, edited)) == comb(2 * n, n) // (n + 1)
         cache = CatalogCache(tmp_path)
         cache.path(n).write_text(json.dumps({"version": 4, "n": n, "classes": edited}), encoding="utf-8")
-        assert cache.load(n) is None, new
+        assert load(cache, n) is None, new
         assert run_catalog(["--n", str(n), "--cache-dir", str(tmp_path)]) == fresh
-        assert cache.load(n) == keys
+        assert load(cache, n) == keys
 
 
 def test_cache_store_leaves_no_temporary_file(tmp_path):
     cache = CatalogCache(tmp_path)
-    keys = [cls.u1_key for cls in u1_classes(4)]
-    assert cache.store(4, keys) == cache.path(4)
+    assert store(cache, 4) == cache.path(4)
     assert os.listdir(tmp_path) == [cache.path(4).name]
     # a store that cannot rename over its target fails and cleans up
     blocked = CatalogCache(tmp_path / "blocked")
     blocked.path(4).mkdir(parents=True)
-    assert blocked.store(4, keys) is None
+    assert store(blocked, 4) is None
     assert os.listdir(tmp_path / "blocked") == [blocked.path(4).name]
 
 
-def test_cache_write_failing_midway_leaves_no_file(tmp_path):
-    # the file is written in parts; a part that fails closes the temporary
-    # file and removes it, and nothing is renamed over the target
-    def parts():
-        yield '{"classes": [['
-        raise OSError("no space left on device")
+def test_cache_write_failing_midway_leaves_no_file(tmp_path, monkeypatch):
+    # the file is written in parts; a part that fails, here the first key
+    # with a block, after the opening and the empty key, closes the
+    # temporary file and removes it, and nothing is renamed over the target
+    class Failing(dict):
+        def __missing__(self, block):
+            raise OSError("no space left on device")
 
-    cache = CatalogCache(tmp_path)
-    assert cache._write(3, parts()) is None
+    monkeypatch.setattr(catalog, "_block_texts", lambda table: Failing())
+    assert store(CatalogCache(tmp_path), 3) is None
     assert os.listdir(tmp_path) == []
 
 
@@ -875,9 +890,9 @@ def test_cache_reads_truncated_file_as_miss(tmp_path):
     text = cache.path(4).read_text(encoding="utf-8")
     for size in (0, 1, len(text) // 2, len(text) - 2):
         cache.path(4).write_text(text[:size], encoding="utf-8")
-        assert cache.load(4) is None
+        assert load(cache, 4) is None
         assert u1_classes_cached(4, cache) == classes
-        assert cache.load(4) == [cls.u1_key for cls in classes]
+        assert load(cache, 4) == [cls.u1_key for cls in classes]
 
 
 def test_cache_hit_calls_no_validator_or_generator(tmp_path, count_calls):
@@ -911,7 +926,7 @@ def test_cache_checks_block_entry_types(tmp_path):
     assert '"classes": [[], [[2]], [[2, 3]]]' in text
     for block in ("[2.0]", "[true]", "[2, true]"):
         cache.path(3).write_text(text.replace("[[2]]", f"[{block}]"), encoding="utf-8")
-        assert cache.load(3) is None, block
+        assert load(cache, 3) is None, block
         assert run_catalog(["--n", "3", "--cache-dir", str(tmp_path)]) == fresh
         assert cache.path(3).read_text(encoding="utf-8") == text
 
@@ -955,15 +970,14 @@ def test_cache_file_schema(tmp_path):
     # each class is its block multiset key, in canonical order
     assert payload["classes"] == [[], [[2]], [[2, 3]]]
     keys = [cls.u1_key for cls in u1_classes(5)]
-    payload = json.loads(CatalogCache(tmp_path).store(5, keys).read_text(encoding="utf-8"))
+    payload = json.loads(store(CatalogCache(tmp_path), 5).read_text(encoding="utf-8"))
     assert payload["classes"] == [list(map(list, key)) for key in keys]
 
 
 def test_store_writes_the_decoded_payload(tmp_path):
-    # a miss writes its packed keys with _store, which writes the text
-    # itself: the bytes store writes for the keys decoded, the classes'
-    # u1_keys, which are json.dumps of them; down to the one empty key of
-    # levels 0 and 1.  _load reads back the packed keys, load the decoded
+    # a miss writes its packed keys with store, which writes the text
+    # itself: json.dumps of the keys decoded, the classes' u1_keys; down to
+    # the one empty key of levels 0 and 1.  load reads back the packed keys
     cache = CatalogCache(tmp_path)
     for n in (0, 1, 3, 7, 9):
         decoded = [cls.u1_key for cls in u1_classes_cached(n, cache)]
@@ -973,15 +987,13 @@ def test_store_writes_the_decoded_payload(tmp_path):
         table = _block_table(n)
         keys = _block_keys(n, table)
         assert [unpack_key(key) for key in keys] == decoded
-        assert cache._load(n, table) == keys
-        assert cache.load(n) == decoded
-        assert cache.store(n, decoded).read_bytes() == expected, n
-        assert cache._store(n, table, keys).read_bytes() == expected, n
+        assert cache.load(n, table) == keys
+        assert cache.store(n, table, keys).read_bytes() == expected, n
 
 
 def test_store_writes_two_byte_entries(tmp_path):
     # level 13 is the first whose entries exceed 255 (F(14) = 377), so its
-    # packed blocks hold two bytes per code point: the file _store writes
+    # packed blocks hold two bytes per code point: the file store writes
     # for them is still json.dumps of the keys decoded, and reads back
     n = 13
     table = _block_table(n)
@@ -991,17 +1003,18 @@ def test_store_writes_two_byte_entries(tmp_path):
     payload = {"version": 4, "n": n, "classes": decoded}
     expected = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
     cache = CatalogCache(tmp_path)
-    assert cache._store(n, table, keys).read_bytes() == expected
-    assert cache._load(n, table) == keys
+    assert cache.store(n, table, keys).read_bytes() == expected
+    assert cache.load(n, table) == keys
 
 
 def test_records_share_their_blocks(tmp_path):
-    # each block is decoded once, and every record and loaded key holding it
-    # holds that one tuple
+    # each block is decoded once, and every record holding it holds that one
+    # tuple: uncached, on a miss and on a hit
+    cache = CatalogCache(tmp_path)
     for keys in (
         [cls.u1_key for cls in u1_classes(9)],
-        [cls.u1_key for cls in u1_classes_cached(9, CatalogCache(tmp_path))],
-        CatalogCache(tmp_path).load(9),
+        [cls.u1_key for cls in u1_classes_cached(9, cache)],
+        [cls.u1_key for cls in u1_classes_cached(9, cache)],
     ):
         blocks = [block for key in keys for block in key]
         assert len({id(block) for block in blocks}) == len(set(blocks)) < len(blocks)
@@ -1070,13 +1083,13 @@ def test_cache_hit_is_proved_by_the_class_count(tmp_path):
     }
     for name, edited in edits.items():
         cache.path(n).write_text(json.dumps(dict(payload, classes=edited)), encoding="utf-8")
-        assert cache.load(n) is None, name
+        assert load(cache, n) is None, name
         assert run_catalog(["--n", str(n), "--cache-dir", str(tmp_path)]) == fresh, name
         assert cache.path(n).read_text(encoding="utf-8") == text, name
     # the same keys in any order are a hit, returned in canonical order
     shuffled = stored[::-1]
     random.Random(7).shuffle(shuffled)
     cache.path(n).write_text(json.dumps(dict(payload, classes=shuffled)), encoding="utf-8")
-    assert cache.load(n) == keys
+    assert load(cache, n) == keys
     assert run_catalog(["--n", str(n), "--cache-dir", str(tmp_path)]) == fresh
     assert cache.path(n).read_text(encoding="utf-8") != text

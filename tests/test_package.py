@@ -33,7 +33,11 @@ def test_star_import_is_the_public_surface():
     exec("from minitwistor import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(minitwistor.__all__)
-    assert len(minitwistor.__all__) == len(set(minitwistor.__all__)) == 47
+    assert len(minitwistor.__all__) == len(set(minitwistor.__all__)) == 45
+    # the CLI's catalog cache, on packed keys, is imported from
+    # minitwistor.catalog only
+    for name in ("CatalogCache", "u1_classes_cached"):
+        assert not hasattr(minitwistor, name), name
 
 
 def test_oracles_and_helpers_are_not_exported():
