@@ -155,7 +155,7 @@ def _cmd_deform_check(args: argparse.Namespace) -> str:
             report.update(r=rec.r, s=rec.s, slack=rec.slack, discriminant_deformed=deformed)
         return dumps(report)
     if rec.semi_free:
-        return f"semi-free: handled by LeBrun theory (deformable = {rec.deformable})\n"
+        return f"{rec.note} (deformable = {rec.deformable})\n"
     return (
         f"r = {rec.r}, s = {rec.s}, slack = {rec.slack}, deformable = {rec.deformable}\n"
         f"{discriminant_text(deformed)}\n"
@@ -169,6 +169,9 @@ def _cmd_schedule(args: argparse.Namespace) -> str:
 
 def _cmd_catalog(args: argparse.Namespace) -> str:
     n = args.n
+    if args.cache_dir == "":
+        # Path("") is the current directory, where the file would land
+        raise InvalidParameterError("--cache-dir must name a directory, not the empty string")
     if args.cache_dir is not None and (args.classes == "marked" or args.no_cache):
         # the marked listing reads no cache; --no-cache with --classes marked
         # stays accepted, as it always was

@@ -167,6 +167,20 @@ def test_catalog_rejects_a_cache_dir_it_would_ignore(tmp_path):
     assert out.getvalue().startswith("n = 4: 9 marked sequences up to reversal\n")
 
 
+def test_catalog_rejects_an_empty_cache_dir(tmp_path, monkeypatch):
+    # Path("") is the current directory: an empty --cache-dir exits 2 and
+    # names the rule, before any work, and writes nothing there
+    monkeypatch.chdir(tmp_path)
+    for fmt in ("text", "json"):
+        argv = ["catalog", "--n", "3", "--format", fmt, "--cache-dir", ""]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 2, argv
+        assert out.getvalue() == "", argv
+        assert err.getvalue() == "error: --cache-dir must name a directory, not the empty string\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tables_delta():
     result = run_cli("tables", "delta", "--format", "json")
     data = json.loads(result.stdout)

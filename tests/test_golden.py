@@ -23,6 +23,7 @@ GOLDEN = (
     ("schedule --seq 1,2,5,3,1 --format text", "3b930586e5e1d813fb82a659d1ece8bbb8f31ac405345aedf414115fcf1fdaeb"),
     ("deform-check --seq 1,2,5,3,1 --format json", "576c38ec782e382311eb0c95bc58d2ef65a6c4715bfa134ed4e9b0209235ea08"),
     ("deform-check --seq 1,1,1,1 --format json", "b5b546da1df5b122fbd659c8330ba54f732ab455fef5afc68d7bf5e95e603f13"),
+    ("deform-check --seq 1,1,1,1 --format text", "ecc710eb92a965879ba9c126e65671fb7895428574974ba413dc698eda062d57"),
     ("schedule --seq 1,2,5,3,1 --format json", "5d08a2d6586e664d8e01a190a5100f5613c2fbea14bc1f8d513113c1f18475cb"),
     ("analyze --seq 1,1,2,5,3,1,2,1,1,1 --format text", "9f30c112d6acb187590367268eeb65f9eba00c8095687bc04895db981d58c35a"),
     ("analyze --seq 1,1,2,5,3,1,2,1,1,1 --format json", "12143ee8de84a2e91c43a7afea1bae770f44c34ff3b8d9a52353b924c212fa13"),
