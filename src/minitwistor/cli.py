@@ -19,7 +19,8 @@ environment-dependent is emitted.
 main is the one writer of stdout.  Each handler returns the whole output of
 its request as one string and writes nothing; main writes that string in one
 call once the handler has returned, so a request that exits 2 or 3 leaves
-stdout empty.
+stdout empty.  A request adds options only to the subcommand it names; every
+subcommand name is still registered, with its help line.
 """
 
 from __future__ import annotations
@@ -267,17 +268,6 @@ def _tables_family(args: argparse.Namespace) -> str:
 # ---------------------------------------------------------------------------
 # parser assembly
 
-#: The sequence subcommands: name, handler, whether it takes --lambda and
-#: --c, the formats it renders, and its help line.
-_SEQ_COMMANDS = (
-    ("analyze", _cmd_analyze, True, ("json", "latex", "text"),
-     "full report: invariants, model, discriminants, blow-up schedule"),
-    ("equation", _cmd_equation, True, ("json", "latex", "text"), "just the model equation"),
-    ("deform-check", _cmd_deform_check, False, ("json", "text"),
-     "deformability slack and the deformed discriminant report"),
-    ("schedule", _cmd_schedule, False, ("json", "text"), "blow-up schedule ledger"),
-)
-
 #: The tables kinds: handler, the one size option it takes, that option's
 #: default (None: required), and the formats it renders.
 _TABLES = {
@@ -294,6 +284,48 @@ _TABLES_HELP = "; ".join(
 ) + ". The fibonacci rows n <= 7 are checked against their stored table."
 
 
+def _arg(*flags: str, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+def _format_arg(*choices: str) -> tuple:
+    return _arg("--format", choices=choices, default="text")
+
+
+_SEQ = _arg("--seq", required=True, help="weights k_2,...,k_{n+2}, e.g. 1,2,5,3,1")
+_MODEL = (
+    _arg("--lambda", dest="lambdas",
+         help='conformal invariants "0,l2,...,inf" (default 0,1,2,...,inf)'),
+    _arg("--c", choices=tuple(_C_SIGN), default="+1", help="sign of the equation"),
+)
+
+#: Every subcommand: its handler (tables: None, main picks the kind's), its
+#: help line, its description, and its arguments in help order.
+_COMMANDS = {
+    "analyze": (_cmd_analyze, "full report: invariants, model, discriminants, blow-up schedule",
+                None, (_SEQ, *_MODEL, _format_arg("json", "latex", "text"))),
+    "equation": (_cmd_equation, "just the model equation",
+                 None, (_SEQ, *_MODEL, _format_arg("json", "latex", "text"))),
+    "deform-check": (_cmd_deform_check, "deformability slack and the deformed discriminant report",
+                     None, (_SEQ, _format_arg("json", "text"))),
+    "schedule": (_cmd_schedule, "blow-up schedule ledger",
+                 None, (_SEQ, _format_arg("json", "text"))),
+    "catalog": (_cmd_catalog, "enumerate sequences or circle-action classes", None, (
+        _arg("--n", type=int, required=True),
+        _arg("--classes", choices=("marked", "u1"), default="u1"),
+        _format_arg("json", "text"),
+        _arg("--cache-dir", help="JSON cache directory (default ~/.cache/minitwistor)"),
+        _arg("--no-cache", action="store_true", help="skip the JSON cache"),
+    )),
+    "tables": (None, "delta(n) counts, the maximal-step rows or a named family", _TABLES_HELP, (
+        _arg("which", choices=tuple(_TABLES)),
+        _format_arg("json", "latex", "text"),
+        _arg("--n-max", type=int, help="last n for delta/fibonacci"),
+        _arg("--n", type=int, help="level for lebrun/involutive"),
+    )),
+}
+
+
 def _formatter(prog: str) -> argparse.HelpFormatter:
     # argparse wraps at the terminal's width (COLUMNS) by default; 78 is that
     # default when there is no terminal, and fixing it keeps the help and
@@ -301,7 +333,11 @@ def _formatter(prog: str) -> argparse.HelpFormatter:
     return argparse.HelpFormatter(prog, width=78)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every subcommand name is registered with its help
+    line, so the top-level usage, help and errors never depend on
+    ``command``; options and a handler are added only to the subcommand
+    ``command`` names, or to every subcommand when it is None."""
     parser = argparse.ArgumentParser(
         prog="minitwistor",
         formatter_class=_formatter,
@@ -311,51 +347,21 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, handler, takes_model, formats, text in _SEQ_COMMANDS:
-        p = sub.add_parser(name, help=text, formatter_class=_formatter)
-        p.add_argument("--seq", required=True, help="weights k_2,...,k_{n+2}, e.g. 1,2,5,3,1")
-        if takes_model:
-            p.add_argument(
-                "--lambda",
-                dest="lambdas",
-                default=None,
-                help='conformal invariants "0,l2,...,inf" (default 0,1,2,...,inf)',
-            )
-            p.add_argument(
-                "--c", choices=tuple(_C_SIGN), default="+1", help="sign of the equation"
-            )
-        p.add_argument("--format", choices=formats, default="text")
-        p.set_defaults(handler=handler)
-
-    p = sub.add_parser(
-        "catalog", help="enumerate sequences or circle-action classes", formatter_class=_formatter
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--classes", choices=("marked", "u1"), default="u1")
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument(
-        "--cache-dir", default=None, help="JSON cache directory (default ~/.cache/minitwistor)"
-    )
-    p.add_argument("--no-cache", action="store_true", help="skip the JSON cache")
-    p.set_defaults(handler=_cmd_catalog)
-
-    p = sub.add_parser(
-        "tables",
-        help="delta(n) counts, the maximal-step rows or a named family",
-        description=_TABLES_HELP,
-        formatter_class=_formatter,
-    )
-    p.add_argument("which", choices=tuple(_TABLES))
-    p.add_argument("--format", choices=("json", "latex", "text"), default="text")
-    p.add_argument("--n-max", type=int, default=None, help="last n for delta/fibonacci")
-    p.add_argument("--n", type=int, default=None, help="level for lebrun/involutive")
-
+    for name, (handler, text, description, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text, description=description, formatter_class=_formatter)
+        if command is None or command == name:
+            for flags, kwargs in arguments:
+                p.add_argument(*flags, **kwargs)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top level takes no option but -h, so argparse reads the first
+    # argument that does not start with "-" as the subcommand
+    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
     args = parser.parse_args(argv)
     if args.command == "tables":
         args.handler, flag, default, formats = _TABLES[args.which]

@@ -10,6 +10,7 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -282,15 +283,21 @@ def test_analyze_latex_builds_no_schedule(count_calls):
     assert len(calls) == 2
 
 
-def run_or_reject(argv):
-    """Exit code and stdout of an in-process CLI call, parser errors included."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def run_captured(argv):
+    """Exit code, stdout and stderr of an in-process CLI call, parser exits
+    included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_or_reject(argv):
+    """Exit code and stdout of an in-process CLI call, parser errors included."""
+    return run_captured(argv)[:2]
 
 
 #: One small valid request per subcommand and tables kind, without --format.
@@ -379,6 +386,37 @@ def test_help_and_usage_bytes_do_not_depend_on_the_terminal(monkeypatch):
             assert (code, hashlib.sha256(text.encode()).hexdigest()) == (
                 0 if "--help" in argv else 2, digest
             ), (columns, argv)
+
+
+def test_a_fresh_process_reads_its_argv():
+    # main(None) reads sys.argv, which no in-process call reaches
+    for argv, code in (
+        (("--help",), 0), (("analyze", "--help"), 0), (("tables", "delta", "--n", "3"), 2)
+    ):
+        result = run_cli(*argv)
+        text, other = (result.stdout, result.stderr) if code == 0 else (result.stderr, result.stdout)
+        assert (result.returncode, hashlib.sha256(text).hexdigest()) == (code, HELP_DIGESTS[argv])
+        assert other == b"", argv
+
+
+def test_a_request_adds_options_only_to_its_subcommand(monkeypatch):
+    import minitwistor.cli
+
+    built = []
+
+    def recording(command=None):
+        built.append(build_parser(command))
+        return built[-1]
+
+    monkeypatch.setattr(minitwistor.cli, "build_parser", recording)
+    assert run_main(["analyze", "--seq", "1,2,1"])[0] == 0
+    (parser,) = built
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == [*SEQ_COMMANDS, "catalog", "tables"]
+    for name, subparser in sub.choices.items():
+        dests = [action.dest for action in subparser._actions]
+        assert dests == (["help", "seq", "lambdas", "c", "format"] if name == "analyze"
+                         else ["help"]), name
 
 
 def test_equation_past_the_int_to_str_limit():
@@ -582,13 +620,35 @@ def test_large_m_exits_2_before_the_model(count_calls):
 @given(data=st.data())
 def test_fuzzed_argv_keeps_the_exit_code_contract(tmp_path_factory, data):
     argv = data.draw(cli_argv(str(tmp_path_factory.getbasetemp() / "fuzz-cache")))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    code, out, err = run_captured(argv)
     assert code in (0, 2, 3), argv
-    assert "Traceback" not in err.getvalue(), argv
+    assert "Traceback" not in err, argv
     if code != 0:
-        assert out.getvalue() == "", argv
+        assert out == "", argv
+
+
+def assert_same_as_the_full_build(argv):
+    import minitwistor.cli
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(minitwistor.cli, "build_parser", lambda command=None: build_parser())
+        expected = run_captured(argv)
+    assert run_captured(argv) == expected, argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_argv_prints_what_the_full_parser_prints(tmp_path_factory, data):
+    argv = data.draw(cli_argv(str(tmp_path_factory.getbasetemp() / "full-build-cache")))
+    assert_same_as_the_full_build(argv)
+
+
+def test_usage_errors_and_help_match_the_full_parser():
+    for argv in (
+        [], ["-h"], ["bogus"], ["tables", "delta", "--n", "3"], ["catalog", "--n", "x"],
+        *([command, "--help"] for command in (*SEQ_COMMANDS, "catalog", "tables")),
+        # argparse reads the first argument without a leading "-" as the command
+        ["--bogus", "analyze", "--seq", "1,2,1"], ["--bogus", "tables", "delta"],
+        ["--", "schedule", "--seq", "1,2,1"], ["-1", "analyze"], ["-", "catalog"],
+    ):
+        assert_same_as_the_full_build(argv)
