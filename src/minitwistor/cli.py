@@ -19,7 +19,8 @@ environment-dependent is emitted.
 main is the one writer of stdout.  Each handler returns the whole output of
 its request as one string and writes nothing; main writes that string in one
 call once the handler has returned, so a request that exits 2 or 3 leaves
-stdout empty.  A request adds options only to the subcommand it names; every
+stdout empty.  A request adds options, and -h, only to the subcommand it
+names; the subparsers it does not name carry no action at all.  Every
 subcommand name is still registered, with its help line.
 """
 
@@ -336,7 +337,7 @@ def _formatter(prog: str) -> argparse.HelpFormatter:
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI's parser.  Every subcommand name is registered with its help
     line, so the top-level usage, help and errors never depend on
-    ``command``; options and a handler are added only to the subcommand
+    ``command``; -h, options and a handler are added only to the subcommand
     ``command`` names, or to every subcommand when it is None."""
     parser = argparse.ArgumentParser(
         prog="minitwistor",
@@ -348,8 +349,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, text, description, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text, description=description, formatter_class=_formatter)
-        if command is None or command == name:
+        named = command is None or command == name
+        # a subparser the request does not name is never parsed with or
+        # printed, so it gets no -h either
+        p = sub.add_parser(name, help=text, description=description, formatter_class=_formatter,
+                           add_help=named)
+        if named:
             for flags, kwargs in arguments:
                 p.add_argument(*flags, **kwargs)
             p.set_defaults(handler=handler)

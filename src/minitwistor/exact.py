@@ -135,7 +135,8 @@ def format_scalar(value: Scalar | int) -> str:
     """Render an exact scalar as reduced "p/q", a plain integer, or "inf"."""
     if isinstance(value, Infinity):
         return "inf"
-    f = Fraction(value)
+    # a Fraction is read as it is; only an int is converted
+    f = value if isinstance(value, Fraction) else Fraction(value)
     if f.denominator == 1:
         return decimal(f.numerator)
     return f"{decimal(f.numerator)}/{decimal(f.denominator)}"

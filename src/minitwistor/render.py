@@ -3,12 +3,18 @@
 Rationals print reduced as "p/q", infinity as "inf", JSON keys are sorted and
 nothing time- or environment-dependent ever enters the output, so identical
 inputs produce identical bytes.
+
+JSON is written by a small recursive writer, not by ``json.dumps``: with
+``indent`` set, ``json`` falls back to its pure-Python encoder, which takes
+about twice as long.  The writer produces the bytes of
+``json.dumps(value, sort_keys=True, indent=2, default=_encode)`` plus a
+newline, and that call is its test oracle.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 
 from .conic_bundle import BlowUpSchedule, DiscriminantReport
 from .exact import Infinity, decimal, format_scalar
@@ -17,7 +23,8 @@ from .record import Record
 
 
 def _encode(value):
-    """json.dumps hook: exact scalars as text, records as dicts of their
+    """The JSON form of the other types, for dumps and for its oracle's
+    ``default`` hook: exact scalars as text, records as dicts of their
     fields (never of a cached property); the ((a, b), coefficient) items of
     QuadraticForm.terms become an object keyed "a,b"."""
     if isinstance(value, (Fraction, Infinity)):
@@ -31,7 +38,49 @@ def _encode(value):
 
 
 def dumps(value) -> str:
-    return json.dumps(value, sort_keys=True, indent=2, default=_encode) + "\n"
+    """``value`` as indent-2 JSON with sorted keys and a final newline.
+
+    The bytes are those of ``json.dumps(value, sort_keys=True, indent=2,
+    default=_encode) + "\\n"``: each item on its own line, indented two
+    spaces per level, "," after every item but the last, ": " after each
+    key, every non-ASCII character escaped, empty containers as ``[]`` and
+    ``{}``.  Only the types the payloads hold are written: dicts with str
+    keys, lists, tuples, str, int, bool, None, and what ``_encode`` turns
+    into these; any other type raises TypeError.
+    """
+    return _json(value, "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
+    # newline is "\n" plus the indent of the line value starts on.  Classes
+    # are matched exactly (bool is not int here); any other goes through
+    # _encode, which raises TypeError for a type it does not know.  An int
+    # in a container is written without a call.
+    cls = value.__class__
+    if cls is str:
+        return _string(value)
+    if cls is tuple or cls is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [int.__repr__(item) if item.__class__ is int else _json(item, inner)
+                 for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if cls is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [_string(key) + ": " + _json(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if cls is int:
+        return int.__repr__(value)
+    return _json(_encode(value), newline)
 
 
 # ---------------------------------------------------------------------------

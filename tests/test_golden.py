@@ -15,6 +15,9 @@ import pytest
 
 from minitwistor.cli import main
 
+#: Three 500-digit interior lambdas: the huge-lambda shape of the benchmark.
+HUGE_LAMBDAS = ",".join(str(v) for v in (10**499 + 3, 3 * 10**499 + 7, 7 * 10**499 + 11))
+
 GOLDEN = (
     ("analyze --seq 1,2,5,3,1 --format text", "1fd5201667a3ea046f1c25e6362f6f0d5ab4c3bed3f5320623c61f54a2924809"),
     ("analyze --seq 1,2,5,3,1 --format json", "12ce41d92aaa4b5497e3da6edd0c8b5adeb578c40bd0c30adb44d87a48d67dc7"),
@@ -66,7 +69,19 @@ GOLDEN = (
     # the rows were still rendered one str.translate per row and block
     ("catalog --classes marked --n 13 --no-cache", "6185e1603b079864a02fbf6a9f158a35a6365f96a8e1a4bb655d5132c005efbb"),
     ("catalog --n 13 --no-cache", "dc060ec9987c926d18d2b6d40a5197eaa640631b8ad5a967053cf5e0fbc54965"),
+    # JSON shapes recorded from json.dumps, before the direct indent-2 writer
+    # replaced it: a family listing, lambdas with denominators and c = -1,
+    # the huge-lambda equation of the benchmark and a marked listing
+    ("tables involutive --n 7 --format json", "278bc137670092718c11ea7ee4dc429987622191fcdda21c53bf8e9c7890e69f"),
+    ("analyze --seq 1,2,5,3,1 --lambda 0,1/2,7/3,5,11/2,inf --c -1 --format json", "970c8e1b7caec7fdd07fa77735b6dee223fd7d9ba9f581781169e12437cbae7d"),
+    (f"equation --seq 1,2,5,3,1 --lambda 0,1,{HUGE_LAMBDAS},inf --format json", "618a1664f0f838d624c28d5546bc5cc5cb81be508c2ced45a072f0df52cf8d6d"),
+    ("catalog --classes marked --n 8 --format json --no-cache", "8f786ecc4c71aa21ab01b09316b8cea6e92ce5f57fc2e6e3ad80fe9e6fcc2217"),
 )
+
+
+def golden_id(argv):
+    """The test id of a golden request: its argv, cut short when long."""
+    return argv if len(argv) <= 100 else f"{argv[:80]}... ({len(argv)} characters)"
 
 
 class CountingStdout(io.StringIO):
@@ -81,7 +96,7 @@ class CountingStdout(io.StringIO):
         return super().write(text)
 
 
-@pytest.mark.parametrize(("argv", "digest"), GOLDEN, ids=[argv for argv, _ in GOLDEN])
+@pytest.mark.parametrize(("argv", "digest"), GOLDEN, ids=[golden_id(argv) for argv, _ in GOLDEN])
 def test_stdout_digest(argv, digest):
     out = CountingStdout()
     with contextlib.redirect_stdout(out):
