@@ -19,9 +19,9 @@ environment-dependent is emitted.
 main is the one writer of stdout.  Each handler returns the whole output of
 its request as one string and writes nothing; main writes that string in one
 call once the handler has returned, so a request that exits 2 or 3 leaves
-stdout empty.  A request adds options, and -h, only to the subcommand it
-names; the subparsers it does not name carry no action at all.  Every
-subcommand name is still registered, with its help line.
+stdout empty.  A request builds a parser, with its options and -h, only for
+the subcommand it names; no parser is built for the subcommands it does not
+name.  Every subcommand name is still registered, with its help line.
 """
 
 from __future__ import annotations
@@ -334,11 +334,18 @@ def _formatter(prog: str) -> argparse.HelpFormatter:
     return argparse.HelpFormatter(prog, width=78)
 
 
+def _subparser(build: bool, **kwargs) -> argparse.ArgumentParser | None:
+    # add_subparsers' parser_class: add_parser has made the subcommand's
+    # choice and help line before it calls this, and only stores the result
+    return argparse.ArgumentParser(**kwargs) if build else None
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI's parser.  Every subcommand name is registered with its help
     line, so the top-level usage, help and errors never depend on
-    ``command``; -h, options and a handler are added only to the subcommand
-    ``command`` names, or to every subcommand when it is None."""
+    ``command``; a parser, with -h, options and a handler, is built only for
+    the subcommand ``command`` names, or for every subcommand when it is
+    None.  main names the only subcommand argparse can select."""
     parser = argparse.ArgumentParser(
         prog="minitwistor",
         formatter_class=_formatter,
@@ -347,14 +354,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             "circle subgroups of torus actions on connected sums of CP^2."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # prog is the prefix argparse would otherwise format from the top-level
+    # usage on every build
+    sub = parser.add_subparsers(dest="command", required=True, prog="minitwistor",
+                                parser_class=_subparser)
     for name, (handler, text, description, arguments) in _COMMANDS.items():
-        named = command is None or command == name
-        # a subparser the request does not name is never parsed with or
-        # printed, so it gets no -h either
         p = sub.add_parser(name, help=text, description=description, formatter_class=_formatter,
-                           add_help=named)
-        if named:
+                           build=command is None or command == name)
+        if p is not None:
             for flags, kwargs in arguments:
                 p.add_argument(*flags, **kwargs)
             p.set_defaults(handler=handler)
@@ -364,8 +371,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # the top level takes no option but -h, so argparse reads the first
-    # argument that does not start with "-" as the subcommand
+    # the top level takes no option but -h, so the subcommand argparse
+    # selects, if any, is the first argument that does not start with "-";
+    # the others have no parser
     parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
     args = parser.parse_args(argv)
     if args.command == "tables":

@@ -402,23 +402,39 @@ def test_a_fresh_process_reads_its_argv():
 def test_a_request_adds_options_only_to_its_subcommand(monkeypatch):
     import minitwistor.cli
 
-    built = []
+    built, inits = [], []
+    original_init = argparse.ArgumentParser.__init__
 
     def recording(command=None):
         built.append(build_parser(command))
         return built[-1]
 
+    def counting(self, *args, **kwargs):
+        inits.append(kwargs.get("prog"))
+        original_init(self, *args, **kwargs)
+
     monkeypatch.setattr(minitwistor.cli, "build_parser", recording)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     assert run_main(["analyze", "--seq", "1,2,1"])[0] == 0
     (parser,) = built
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert list(sub.choices) == [*SEQ_COMMANDS, "catalog", "tables"]
-    for name, subparser in sub.choices.items():
-        dests = [action.dest for action in subparser._actions]
-        # the subparsers the request does not name are never parsed with or
-        # printed, and hold not even -h
-        assert dests == (["help", "seq", "lambdas", "c", "format"] if name == "analyze"
-                         else []), name
+    commands = [*SEQ_COMMANDS, "catalog", "tables"]
+    assert list(sub.choices) == commands
+    # the subcommands the request does not name are never parsed with or
+    # printed, and get no parser at all
+    assert [name for name, subparser in sub.choices.items() if subparser is not None] == [
+        "analyze"
+    ]
+    assert [action.dest for action in sub.choices["analyze"]._actions] == [
+        "help", "seq", "lambdas", "c", "format"
+    ]
+    inits.clear()
+    assert run_or_reject(["schedule", "--seq", "1,2,1"])[0] == 0
+    assert inits == ["minitwistor", "minitwistor schedule"]
+    inits.clear()
+    # with no subcommand named, the full build makes every parser
+    assert run_or_reject(["--help"])[0] == 0
+    assert inits == ["minitwistor", *(f"minitwistor {name}" for name in commands)]
 
 
 def test_equation_past_the_int_to_str_limit():
@@ -505,6 +521,7 @@ def test_malformed_long_lambda_message_is_short(capsys):
 SEQ_COMMANDS = ("analyze", "equation", "deform-check", "schedule")
 LAMBDA_TOKENS = ("0", "1", "2", "1/2", "7/3", "-1", "inf", "-inf", "2/0", "x", "", "1e3", "99999")
 JUNK_TOKENS = ("--bogus", "--seq", "--n", "--format", "--lambda", "-h", "extra")
+LEADING_TOKENS = ("-", "-1", "--", "-a b", "--bogus", "")
 VALID_SEQUENCES = tuple(seq for n in range(8) for seq in oriented_sequences(n))
 
 
@@ -529,6 +546,10 @@ def cli_argv(draw, cache_dir):
     --cache-dir, never the home cache."""
     command = draw(st.sampled_from(SEQ_COMMANDS + ("catalog", "tables")))
     argv = [command]
+    # main names the command by the first argument without a leading "-";
+    # these tokens put a dash-led or empty argument before it
+    if draw(st.integers(min_value=0, max_value=7)) == 7:
+        argv.insert(0, draw(st.sampled_from(LEADING_TOKENS)))
     small_n = st.integers(min_value=-2, max_value=7).map(str)
     level_n = st.one_of(small_n, st.integers(min_value=15, max_value=10**6).map(str))
     family_n = st.one_of(small_n, st.integers(min_value=501, max_value=10**6).map(str))
@@ -652,5 +673,8 @@ def test_usage_errors_and_help_match_the_full_parser():
         # argparse reads the first argument without a leading "-" as the command
         ["--bogus", "analyze", "--seq", "1,2,1"], ["--bogus", "tables", "delta"],
         ["--", "schedule", "--seq", "1,2,1"], ["-1", "analyze"], ["-", "catalog"],
+        # "-a b" (it holds a space) and "" read as the command; "-h" and its
+        # prefix "--he" as the top-level help
+        ["-a b", "analyze"], ["", "analyze"], ["-h", "analyze"], ["--he", "catalog"],
     ):
         assert_same_as_the_full_build(argv)
