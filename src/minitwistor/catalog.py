@@ -617,6 +617,13 @@ def growth_report(n_max: int) -> tuple[DeltaRow, ...]:
     marked count is (C_n + p_n)/2 with p_n = 1, 2 C_{n/2} or C_{(n-1)/2}
     palindromes for n = 0, even n > 0 or odd n.  :func:`enumerate_marked`
     and :func:`u1_classes` check their counts against these at every level.
+
+    The same series counts the classes by slack.  A class's slack is
+    n - sum (|B| + 1) (see :func:`_class_fields`), so the classes of slack j
+    are the block multisets of weight exactly n - j: there are
+    delta(n - j) - delta(n - j - 1) of them for 0 <= j < n, and only the
+    semi-free class, the empty key, has no slack.  Summed over j >= 1,
+    delta(n - 1) - 1 classes have slack > 0.
     """
     _check_level(n_max)
     return tuple(

@@ -22,6 +22,14 @@ call once the handler has returned, so a request that exits 2 or 3 leaves
 stdout empty.  A request builds a parser, with its options and -h, only for
 the subcommand it names; no parser is built for the subcommands it does not
 name.  Every subcommand name is still registered, with its help line.
+
+Imports: this module imports, at its top, every module the four sequence
+commands (analyze, equation, deform-check, schedule) use, so their cost is
+paid at start-up and not in the first request.  The enumeration in
+:mod:`minitwistor.catalog` is imported only inside the catalog and tables
+handlers, and :func:`minitwistor.render.dumps` imports json's string encoder
+when it is called, so a sequence command loads no catalog and, in text, no
+json.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ import argparse
 import os
 import sys
 
-from . import catalog as cat
 from .conic_bundle import blow_up_schedule, discriminant_deformed, discriminant_joyce
 from .errors import (
     InternalInvariantError,
@@ -170,6 +177,8 @@ def _cmd_schedule(args: argparse.Namespace) -> str:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> str:
+    from . import catalog as cat
+
     n = args.n
     if args.cache_dir == "":
         # Path("") is the current directory, where the file would land
@@ -209,6 +218,8 @@ def _cmd_catalog(args: argparse.Namespace) -> str:
 
 
 def _tables_delta(args: argparse.Namespace) -> str:
+    from . import catalog as cat
+
     if args.n_max < 0:
         raise InvalidParameterError("tables delta needs --n-max >= 0")
     rows = cat.growth_report(args.n_max)
@@ -222,6 +233,8 @@ def _tables_delta(args: argparse.Namespace) -> str:
 
 
 def _tables_fibonacci(args: argparse.Namespace) -> str:
+    from . import catalog as cat
+
     if args.n_max < 2:
         raise InvalidParameterError("tables fibonacci needs --n-max >= 2")
     cat._check_family(args.n_max)
@@ -249,6 +262,8 @@ def _tables_fibonacci(args: argparse.Namespace) -> str:
 
 
 def _tables_family(args: argparse.Namespace) -> str:
+    from . import catalog as cat
+
     family = cat.family_lebrun if args.which == "lebrun" else cat.family_involutive
     # one dict per member serves both formats; json sorts its keys
     members = [

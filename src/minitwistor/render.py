@@ -14,7 +14,6 @@ newline, and that call is its test oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _string
 
 from .conic_bundle import BlowUpSchedule, DiscriminantReport
 from .exact import Infinity, decimal, format_scalar
@@ -48,29 +47,34 @@ def dumps(value) -> str:
     keys, lists, tuples, str, int, bool, None, and what ``_encode`` turns
     into these; any other type raises TypeError.
     """
-    return _json(value, "\n") + "\n"
+    # imported here, not at module level, so that a text request loads no json
+    from json.encoder import encode_basestring_ascii
+
+    return _json(value, "\n", encode_basestring_ascii) + "\n"
 
 
-def _json(value, newline: str) -> str:
-    # newline is "\n" plus the indent of the line value starts on.  Classes
-    # are matched exactly (bool is not int here); any other goes through
-    # _encode, which raises TypeError for a type it does not know.  An int
-    # in a container is written without a call.
+def _json(value, newline: str, string) -> str:
+    # newline is "\n" plus the indent of the line value starts on; string
+    # writes a str as a JSON string.  Classes are matched exactly (bool is
+    # not int here); any other goes through _encode, which raises TypeError
+    # for a type it does not know.  An int in a container is written without
+    # a call.
     cls = value.__class__
     if cls is str:
-        return _string(value)
+        return string(value)
     if cls is tuple or cls is list:
         if not value:
             return "[]"
         inner = newline + "  "
-        items = [int.__repr__(item) if item.__class__ is int else _json(item, inner)
+        items = [int.__repr__(item) if item.__class__ is int else _json(item, inner, string)
                  for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if cls is dict:
         if not value:
             return "{}"
         inner = newline + "  "
-        items = [_string(key) + ": " + _json(value[key], inner) for key in sorted(value)]
+        items = [string(key) + ": " + _json(value[key], inner, string)
+                 for key in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if value is None:
         return "null"
@@ -80,7 +84,7 @@ def _json(value, newline: str) -> str:
         return "false"
     if cls is int:
         return int.__repr__(value)
-    return _json(_encode(value), newline)
+    return _json(_encode(value), newline, string)
 
 
 # ---------------------------------------------------------------------------

@@ -602,6 +602,32 @@ def test_family_fibonacci_is_argmax_through_n8():
         assert reduction_trace(seq).m == best == fibonacci(n + 1)
 
 
+def test_maximal_step_is_the_one_argmax_through_n12():
+    # the closed-form fields of every class, as the text listing writes them
+    for n in range(2, 13):
+        fields = list(catalog._class_fields(n, *catalog._u1_keys(n, None)))
+        best = max(m for _, _, m, _ in fields)
+        argmax = [text for text, _, m, _ in fields if m == best]
+        assert best == fibonacci(n + 1), n
+        assert len(argmax) == 1, n
+        canonical = tuple(map(int, argmax[0].split(",")))
+        seq = family_fibonacci(n)
+        assert canonical in (seq, seq[::-1]), n
+
+
+def test_classes_by_slack_count_the_keys_of_each_weight():
+    # slack = n - sum (|B| + 1), so slack j holds the keys of weight n - j
+    deltas = catalog._deltas(11)
+    for n in range(1, 12):
+        fields = catalog._class_fields(n, *catalog._u1_keys(n, None))
+        slacks = [slack for _, _, _, slack in fields]
+        assert len(slacks) == deltas[n], n
+        assert slacks.count(None) == 1, n
+        for j in range(n):
+            assert slacks.count(j) == deltas[n - j] - deltas[n - j - 1], (n, j)
+        assert sum(1 for slack in slacks if slack is not None and slack > 0) == deltas[n - 1] - 1, n
+
+
 # ---------------------------------------------------------------------------
 # growth report and cache
 

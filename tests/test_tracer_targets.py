@@ -38,7 +38,11 @@ def test_every_tracer_target_resolves():
 
 def test_tracer_sees_the_cli_cache(tmp_path):
     # the CLI reads and writes its cache through CatalogCache.load and store,
-    # the names the tracer wraps: a miss then a hit at level 5
+    # the names the tracer wraps: a miss then a hit at level 5.  cli imports
+    # catalog only inside its catalog handlers, and install() imports every
+    # module it wraps, so catalog is imported before the snapshot, as
+    # bench/worker.py does
+    import minitwistor.catalog
     from minitwistor import cli
 
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
