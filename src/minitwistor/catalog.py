@@ -66,12 +66,14 @@ FIBONACCI_TABLE = {
 
 
 #: The largest level the enumeration serves.  Level 14 has C_14 = 2,674,440
-#: sequences and 604,297 classes.  In a fresh CLI process the text listing
-#: catalog --classes marked --n 14 takes 2.1-2.3 s and 157 MB of peak RSS,
-#: and catalog --n 14 2.9-3.6 s and 250 MB.  enumerate_marked(14), which
-#: decodes the level into tuples, takes about 3.4 s and 264 MB, and
-#: u1_classes(14), which builds a record per class, 10.5 s and 553 MB
-#: (2-core shared VM, CPython 3.11).  Each further level costs about 3.5
+#: sequences and 604,297 classes.  In a fresh CLI process, stdout to
+#: /dev/null, the text listing catalog --n 14 takes 4.3-5.4 s and 251 MB of
+#: peak RSS, the same as with --no-cache, and catalog --classes marked
+#: --n 14 2.6-3.9 s and 156 MB (5 runs each on a busy 2-core shared VM,
+#: CPython 3.11.7, where python -c pass took 57 ms).  Measured earlier on the
+#: same kind of VM, enumerate_marked(14), which decodes the level into
+#: tuples, takes about 3.4 s and 264 MB, and u1_classes(14), which builds a
+#: record per class, 10.5 s and 553 MB.  Each further level costs about 3.5
 #: times more.
 _MAX_LEVEL = 14
 
@@ -83,8 +85,10 @@ def _check_level(n: int) -> None:
         raise InvalidParameterError(f"n = {n} is above the enumeration limit n <= {_MAX_LEVEL}")
 
 
-#: The largest level of a named family: tables fibonacci --n-max 500, the
-#: costliest family table, takes about 0.5 s and 61 MB of peak RSS.
+#: The largest level of a named family and of the delta(n) table.  In a
+#: fresh CLI process tables delta --n-max 500, the costliest, takes about
+#: 1.0 s and 17 MB of peak RSS in text or JSON, and tables fibonacci
+#: --n-max 500 0.4 s and 59 MB (same VM as above).
 _MAX_FAMILY = 500
 
 
@@ -625,7 +629,11 @@ def growth_report(n_max: int) -> tuple[DeltaRow, ...]:
     semi-free class, the empty key, has no slack.  Summed over j >= 1,
     delta(n - 1) - 1 classes have slack > 0.
     """
-    _check_level(n_max)
+    if n_max < 0:
+        raise InvalidParameterError("n must be nonnegative")
+    # a closed form, bounded as the named families are, not by the level
+    # the enumeration serves
+    _check_family(n_max)
     return tuple(
         DeltaRow(n, delta, _marked_count(n), Fraction(delta, n * n) if n else None)
         for n, delta in enumerate(_deltas(n_max))
@@ -637,11 +645,12 @@ def growth_report(n_max: int) -> tuple[DeltaRow, ...]:
 
 
 class CatalogCache:
-    """Per-n JSON file of the CLI's class catalog, by default in
-    ~/.cache/minitwistor.  It is not exported by the package, and no key is
-    ever read from it: :func:`_u1_keys` builds the keys with
-    :func:`_block_keys`, so stdout depends on no file's contents, then asks
-    load whether the file already holds them and calls store if it does not.
+    """Per-n JSON file of the CLI's class catalog, in the directory that
+    --cache-dir names; with no --cache-dir the CLI makes none and touches no
+    file.  It is not exported by the package, and no key is ever read from
+    it: :func:`_u1_keys` builds the keys with :func:`_block_keys`, so stdout
+    depends on no file's contents, then asks load whether the file already
+    holds them and calls store if it does not.
     The class, load, store, :func:`u1_classes_cached` and the CLI's
     --cache-dir and --no-cache remain only because the benchmark pins them:
     its catalog workload sends both options and its tracer wraps the three
@@ -656,10 +665,8 @@ class CatalogCache:
 
     VERSION = 4
 
-    def __init__(self, directory: str | os.PathLike | None = None):
-        self.directory = (
-            Path.home() / ".cache" / "minitwistor" if directory is None else Path(directory)
-        )
+    def __init__(self, directory: str | os.PathLike):
+        self.directory = Path(directory)
 
     def path(self, n: int) -> Path:
         return self.directory / f"catalog_n{n}.json"

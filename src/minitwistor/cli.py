@@ -16,6 +16,10 @@ message names the violated rule), 3 when a provably-true identity fails
 sorted, rationals print as "p/q", infinity as "inf", and nothing
 environment-dependent is emitted.
 
+No request reads or writes a file, with one exception: catalog keeps the u1
+classes' cache file in the directory --cache-dir names.  With no cache
+option, or with --no-cache, which has no effect, it touches no file.
+
 main is the one writer of stdout.  Each handler returns the whole output of
 its request as one string and writes nothing; main writes that string in one
 call once the handler has returned, so a request that exits 2 or 3 leaves
@@ -184,8 +188,8 @@ def _cmd_catalog(args: argparse.Namespace) -> str:
         # Path("") is the current directory, where the file would land
         raise InvalidParameterError("--cache-dir must name a directory, not the empty string")
     if args.cache_dir is not None and (args.classes == "marked" or args.no_cache):
-        # the marked listing reads no cache; --no-cache with --classes marked
-        # stays accepted, as it always was
+        # the marked listing keeps no cache, and --no-cache asks for none;
+        # --no-cache alone stays accepted and has no effect on any path
         other = "--classes marked" if args.classes == "marked" else "--no-cache"
         raise InvalidParameterError(f"--cache-dir has no effect with {other}")
     if args.classes == "marked":
@@ -195,7 +199,7 @@ def _cmd_catalog(args: argparse.Namespace) -> str:
         # the level is checked against its count as it is built
         body = cat._marked_rows(n)
         return f"n = {n}: {cat._marked_count(n)} marked sequences up to reversal{body}\n"
-    cache = None if args.no_cache else cat.CatalogCache(args.cache_dir)
+    cache = None if args.cache_dir is None else cat.CatalogCache(args.cache_dir)
     if args.format == "json":
         # members are built here, by arrangement, and nowhere on the text path
         classes = cat.u1_classes_cached(n, cache)
@@ -330,8 +334,10 @@ _COMMANDS = {
         _arg("--n", type=int, required=True),
         _arg("--classes", choices=("marked", "u1"), default="u1"),
         _format_arg("json", "text"),
-        _arg("--cache-dir", help="JSON cache directory (default ~/.cache/minitwistor)"),
-        _arg("--no-cache", action="store_true", help="skip the JSON cache"),
+        _arg("--cache-dir", help="keep the u1 classes' JSON cache file in this directory "
+             "(default: no file is read or written)"),
+        _arg("--no-cache", action="store_true", help="no effect: no cache is kept unless "
+             "--cache-dir is given"),
     )),
     "tables": (None, "delta(n) counts, the maximal-step rows or a named family", _TABLES_HELP, (
         _arg("which", choices=tuple(_TABLES)),

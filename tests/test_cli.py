@@ -182,10 +182,51 @@ def test_catalog_rejects_an_empty_cache_dir(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_catalog_touches_no_file_without_a_cache_dir(tmp_path, monkeypatch, count_calls):
+    # with no cache option, or with --no-cache, a catalog request prints the
+    # same bytes, makes no cache and leaves HOME and the working directory
+    # as empty as it found them
+    home, cwd = tmp_path / "home", tmp_path / "cwd"
+    home.mkdir()
+    cwd.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.chdir(cwd)
+    made = count_calls("catalog", "CatalogCache")
+    for classes in ("u1", "marked"):
+        for fmt in ("text", "json"):
+            argv = ["catalog", "--n", "6", "--classes", classes, "--format", fmt]
+            code, expected = run_main([*argv, "--no-cache"])
+            assert code == 0 and expected, argv
+            assert run_main(argv) == (0, expected), argv
+    assert made == []
+    assert list(home.iterdir()) == list(cwd.iterdir()) == []
+
+
 def test_tables_delta():
     result = run_cli("tables", "delta", "--format", "json")
     data = json.loads(result.stdout)
     assert [row["delta"] for row in data["rows"]] == [1, 1, 2, 3, 7, 15]
+
+
+def test_tables_delta_reaches_past_the_enumeration_limit():
+    # delta(n) is a closed form: tables delta is bounded by the family limit
+    # (n <= 500), not by the level the enumeration serves (n <= 14)
+    from minitwistor.catalog import growth_report
+    from minitwistor.errors import InvalidParameterError
+
+    for fmt in ("text", "json"):
+        code, wide = run_main(["tables", "delta", "--n-max", "20", "--format", fmt])
+        assert code == 0, fmt
+        code, narrow = run_main(["tables", "delta", "--n-max", "14", "--format", fmt])
+        assert code == 0, fmt
+        if fmt == "json":
+            wide, narrow = json.loads(wide)["rows"], json.loads(narrow)["rows"]
+            assert len(wide) == 21 and wide[:15] == narrow
+        else:
+            wide, narrow = wide.splitlines(), narrow.splitlines()
+            assert len(wide) == 22 and wide[:16] == narrow
+    with pytest.raises(InvalidParameterError):
+        growth_report(-1)
 
 
 def test_tables_fibonacci():
@@ -365,7 +406,7 @@ HELP_DIGESTS = {
     ("equation", "--help"): "5e1472958c6e3917f6c35c590cc9576cca9973b50ea7ad820bb1963e1743a9f9",
     ("deform-check", "--help"): "3525ab271542df97dfd5185f3a071091e7062b5a78f132b57790b52b3cbe81ba",
     ("schedule", "--help"): "cf9c70eed85c3fec7450e91848bd058d03535bace817f4ea27a22e5de569d15b",
-    ("catalog", "--help"): "e7c45715f510ebb785e53a9448547613dd97513a6b66e281f9840c5591100a60",
+    ("catalog", "--help"): "11476255eeb807f861981b47f3d93099244712096abd4652bf6c6477d59c2b90",
     ("tables", "--help"): "4bc8c8b2fe5a218887fd97bdafe31e1c9b91ad572922c2d7ccedc37ff5a4d6cd",
     ("catalog", "--n", "x"): "2101b38c4f0b9dda6aaad8706be4d2f74f2c86a8bc2191ec648d1041c66f91de",
     ("tables", "delta", "--n", "3"): "968e16f7b7b0888984747b1c8d651f68b64a9f10b8e3e4adafe02f9f1c1a17ff",
@@ -539,11 +580,11 @@ def cli_argv(draw, cache_dir):
     """An argv over every subcommand, valid or not.  The sizes stay small
     where no work limit exists yet (ROADMAP.md): sequences have at most 9
     entries of at most 30.  Every level is at most 7 or above its limit,
-    which must exit 2 before any work: catalog --n and tables delta --n-max
-    take levels above the enumeration limit (n <= 14), and tables fibonacci
-    --n-max and tables lebrun and involutive --n levels above the family
-    limit (n <= 500).  catalog always gets --no-cache or a temporary
-    --cache-dir, never the home cache."""
+    which must exit 2 before any work: catalog --n takes levels above the
+    enumeration limit (n <= 14), and tables delta and fibonacci --n-max and
+    tables lebrun and involutive --n levels above the family limit
+    (n <= 500).  catalog gets no cache option, --no-cache or a temporary
+    --cache-dir."""
     command = draw(st.sampled_from(SEQ_COMMANDS + ("catalog", "tables")))
     argv = [command]
     # main names the command by the first argument without a leading "-";
@@ -578,12 +619,12 @@ def cli_argv(draw, cache_dir):
                 argv += ["--c", draw(st.sampled_from(("+1", "1", "-1", "0", "x")))]
     elif command == "catalog":
         argv += ["--n", draw(level_n), "--classes", draw(st.sampled_from(("u1", "marked", "x")))]
-        argv += draw(st.sampled_from((["--no-cache"], ["--cache-dir", cache_dir])))
+        argv += draw(st.sampled_from(([], ["--no-cache"], ["--cache-dir", cache_dir])))
     else:
         which = draw(st.sampled_from(("delta", "fibonacci", "lebrun", "involutive", "x")))
         argv.append(which)
         sizes = {
-            ("delta", "--n-max"): level_n,
+            ("delta", "--n-max"): family_n,
             ("fibonacci", "--n-max"): family_n,
             ("lebrun", "--n"): family_n,
             ("involutive", "--n"): family_n,
@@ -602,7 +643,7 @@ def test_absurd_level_exits_2_at_once():
     for argv, limit in (
         (["catalog", "--n", "5000", "--no-cache"], "limit n <= 14"),
         (["catalog", "--classes", "marked", "--n", "15", "--no-cache"], "limit n <= 14"),
-        (["tables", "delta", "--n-max", "5000"], "limit n <= 14"),
+        (["tables", "delta", "--n-max", "5000"], "limit n <= 500"),
         (["tables", "lebrun", "--n", "1000000"], "limit n <= 500"),
         (["tables", "involutive", "--n", "1000000"], "limit n <= 500"),
         (["tables", "fibonacci", "--n-max", "1000000"], "limit n <= 500"),

@@ -76,6 +76,12 @@ GOLDEN = (
     ("analyze --seq 1,2,5,3,1 --lambda 0,1/2,7/3,5,11/2,inf --c -1 --format json", "970c8e1b7caec7fdd07fa77735b6dee223fd7d9ba9f581781169e12437cbae7d"),
     (f"equation --seq 1,2,5,3,1 --lambda 0,1,{HUGE_LAMBDAS},inf --format json", "618a1664f0f838d624c28d5546bc5cc5cb81be508c2ced45a072f0df52cf8d6d"),
     ("catalog --classes marked --n 8 --format json --no-cache", "8f786ecc4c71aa21ab01b09316b8cea6e92ce5f57fc2e6e3ad80fe9e6fcc2217"),
+    # the full report on a semi-free sequence, which no other golden covers:
+    # its regularity line, the smooth quadric, no moduli dimension and no
+    # deformed discriminant
+    ("analyze --seq 1,1,1,1 --format text", "cdcacd78885afcd8d8398f75f55edfad43c300f3512fe37a7c524b5db44dfafe"),
+    ("analyze --seq 1,1,1,1 --format json", "f719dec23087ac6c47d45375f971cac4b1c813316b2ac4a97183a34f7553dfc4"),
+    ("analyze --seq 1,1,1,1 --format latex", "184e56771bdee8bf3d110ce09a1866fc75dfbbb27efedbd23fa446483c7a9358"),
 )
 
 
