@@ -86,9 +86,10 @@ def _check_level(n: int) -> None:
 
 
 #: The largest level of a named family and of the delta(n) table.  In a
-#: fresh CLI process tables delta --n-max 500, the costliest, takes about
-#: 1.0 s and 17 MB of peak RSS in text or JSON, and tables fibonacci
-#: --n-max 500 0.4 s and 59 MB (same VM as above).
+#: fresh CLI process tables fibonacci --n-max 500, the costliest, takes
+#: 0.3-0.5 s and 60 MB of peak RSS, tables lebrun and involutive --n 500
+#: 0.2-0.25 s and 34 MB, and tables delta --n-max 500 0.14 s and 17 MB in
+#: text or JSON (same VM as above).
 _MAX_FAMILY = 500
 
 
@@ -595,16 +596,18 @@ def _marked_count(n: int) -> int:
 
 def _deltas(n_max: int) -> list[int]:
     """delta(0..n_max) in closed form (see growth_report)."""
-    # series[t] counts the block multisets of weight t
-    series = [1] + [0] * n_max
+    # c[t] = sum over d | t of d b(d); no block weighs less than 2
+    c = [0] * (n_max + 1)
     for j in range(2, n_max + 1):
         b = (_catalan(j - 1) + (_catalan(j // 2 - 1) if j % 2 == 0 else 0)) // 2
-        # times (1 - x^j)^(-b) = sum_c C(b + c - 1, c) x^(j c)
-        series = [
-            sum(comb(b + c - 1, c) * series[t - j * c] for c in range(t // j + 1))
-            for t in range(n_max + 1)
-        ]
-    return list(accumulate(series))[: n_max + 1]
+        for t in range(j, n_max + 1, j):
+            c[t] += j * b
+    # series[t] counts the block multisets of weight t, the Euler transform
+    # of b: t series[t] = sum over k of c[k] series[t - k]
+    series = [1] + [0] * n_max
+    for t in range(1, n_max + 1):
+        series[t] = sum(c[k] * series[t - k] for k in range(2, t + 1)) // t
+    return list(accumulate(series))
 
 
 def growth_report(n_max: int) -> tuple[DeltaRow, ...]:
@@ -617,7 +620,11 @@ def growth_report(n_max: int) -> tuple[DeltaRow, ...]:
     of them palindromes for odd L and none for even L.  A class is a block
     multiset up to reversal with sum (|B| + 1) <= n, so delta(n) sums
     [x^t] prod_{j>=2} (1 - x^j)^(-b(j)) over t <= n, with b(j) =
-    (C_{j-1} + [j even] C_{j/2-1})/2 blocks of weight j up to reversal.  The
+    (C_{j-1} + [j even] C_{j/2-1})/2 blocks of weight j up to reversal.  That
+    product is the Euler transform of b, the multiset construction of
+    Flajolet and Sedgewick, Analytic Combinatorics (2009): its
+    coefficients a_t obey t a_t = sum_{k=2..t} c_k a_{t-k} with a_0 = 1 and
+    c_k = sum_{d | k} d b(d), and delta(n) is their prefix sum.  The
     marked count is (C_n + p_n)/2 with p_n = 1, 2 C_{n/2} or C_{(n-1)/2}
     palindromes for n = 0, even n > 0 or odd n.  :func:`enumerate_marked`
     and :func:`u1_classes` check their counts against these at every level.

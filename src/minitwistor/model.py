@@ -18,17 +18,16 @@ ideal of the rational normal curve; the canonical choice here is the balanced
 split of each monomial, and equality of two splits is decided by comparing
 pullbacks.  Everything is exact rational arithmetic.
 
-The binary form is expanded in integers: with lambda_i = p_i / q_i, each
-factor (u_1 - lambda_i u_{n+2})^{l_i} is q_i^{-l_i} (q_i u_1 - p_i u_{n+2})^{l_i},
-whose integer coefficients come from the binomial theorem.  The integer rows
-are multiplied together and the product is divided once by prod q_i^{l_i}, so
+The binary form is expanded in integers, one linear factor at a time: with
+lambda_i = p_i / q_i, each factor (u_1 - lambda_i u_{n+2}) is
+q_i^{-1} (q_i u_1 - p_i u_{n+2}), so the integer product is multiplied by
+(q_i u_1 - p_i u_{n+2}) l_i times and divided once by prod q_i^{l_i}.
 Fractions appear only in the returned coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .errors import InternalInvariantError, InvalidParameterError
 from .exact import INF, Infinity, Scalar
@@ -36,10 +35,11 @@ from .invariants import Weights, analyze_sequence
 from .record import Record
 
 
-#: The largest m the model is expanded for: the equation has degree 2m.  On a
-#: 2-core VM (CPython 3.11) the equation of Fibonacci n = 15 (m = 987) takes
-#: about 7 s, and that of the staircase (1, 2, ..., 1000, 1) (m = n = 1000)
-#: about 41 s and 6.5 MB of text; Fibonacci n = 16 (m = 1597) is rejected.
+#: The largest m the model is expanded for: the equation has degree 2m.  In a
+#: fresh CLI process on a 2-core shared VM (Intel Xeon, CPython 3.11.7) the
+#: equation of Fibonacci n = 15 (m = 987) takes about 1.1 s, and that of the
+#: staircase (1, 2, ..., 1000, 1) (m = n = 1000) about 2.3 s and 6.5 MB of
+#: text; Fibonacci n = 16 (m = 1597) is rejected.
 _MAX_M = 1000
 
 
@@ -77,19 +77,12 @@ class BinaryForm(Record):
             raise InvalidParameterError("coefficient list does not match the degree")
 
 
-def _power_row(p: int, q: int, l: int) -> list[int]:
-    """Integer coefficients of (q u_1 - p u_{n+2})^l by the binomial theorem,
-    indexed by the power of u_1."""
-    return [comb(l, j) * q**j * (-p) ** (l - j) for j in range(l + 1)]
-
-
-def _multiply(a: list[int], b: list[int]) -> list[int]:
-    """Product of two integer coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for j, y in enumerate(b):
-        for i, x in enumerate(a, start=j):
-            out[i] += x * y
-    return out
+def _times_linear(product: list[int], p: int, q: int, l: int) -> list[int]:
+    """An integer coefficient list, indexed by the power of u_1, times
+    (q u_1 - p u_{n+2})^l, one linear factor at a time."""
+    for _ in range(l):
+        product = [q * a - p * b for a, b in zip([0, *product], [*product, 0])]
+    return product
 
 
 def rhs_polynomial(
@@ -102,9 +95,9 @@ def rhs_polynomial(
     the model limit fails before any expansion.  This is the one place that
     validates lambdas: the CLI passes them on as parsed.
 
-    The expansion runs in integers: lambda_i = p/q contributes the binomial
-    row of (q u_1 - p u_{n+2})^{l_i}, the rows are multiplied together and
-    the product is divided once by prod q^{l_i}.  Only the returned
+    The expansion runs in integers, one linear factor at a time: lambda_i =
+    p/q multiplies the product by (q u_1 - p u_{n+2}) l_i times, and the
+    product is divided once by prod q^{l_i}.  Only the returned
     coefficients are Fractions.
     """
     n = len(lvec) - 2
@@ -123,7 +116,7 @@ def rhs_polynomial(
     for l, lam in zip(lvec[1:-1], lambdas[1:-1]):
         if l:
             p, q = lam.numerator, lam.denominator
-            product = _multiply(product, _power_row(p, q, l))
+            product = _times_linear(product, p, q, l)
             scale *= q**l
     # the factors u_1 and u_{n+2} add a zero coefficient at each end
     coeffs = (Fraction(0), *(Fraction(x, scale) for x in product), Fraction(0))

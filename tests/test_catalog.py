@@ -8,6 +8,7 @@ import os
 import pkgutil
 import random
 import time
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -646,6 +647,26 @@ def test_growth_report():
     for row in rows[1:]:
         assert row.ratio > 0
         assert row.marked_classes == MARKED_COUNTS[row.n]
+
+
+def deltas_by_binomial_convolution(n_max):
+    """delta(0..n_max) by multiplying in (1 - x^j)^(-b(j)) = sum_c
+    C(b + c - 1, c) x^(j c) one weight j at a time: the oracle for the
+    Euler-transform recurrence of _deltas."""
+    catalan = [comb(2 * i, i) // (i + 1) for i in range(n_max + 1)]
+    series = [1] + [0] * n_max
+    for j in range(2, n_max + 1):
+        b = (catalan[j - 1] + (catalan[j // 2 - 1] if j % 2 == 0 else 0)) // 2
+        series = [
+            sum(comb(b + c - 1, c) * series[t - j * c] for c in range(t // j + 1))
+            for t in range(n_max + 1)
+        ]
+    return list(accumulate(series))
+
+
+def test_deltas_match_the_binomial_convolution():
+    for n_max in (0, 1, 2, 3, 14, 200):
+        assert catalog._deltas(n_max) == deltas_by_binomial_convolution(n_max), n_max
 
 
 def test_growth_report_matches_the_enumeration():

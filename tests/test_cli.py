@@ -662,7 +662,7 @@ def test_large_m_exits_2_before_the_model(count_calls):
     from minitwistor.catalog import family_fibonacci
     from minitwistor.model import _MAX_M
 
-    multiplied = count_calls("model", "_multiply")
+    multiplied = count_calls("model", "_times_linear")
     # the staircase 1, 2, ..., L + 1, 1 has m = L + 1; Fibonacci n = 30 has
     # m = 1,346,269, whose model would never finish
     staircase = [*range(1, _MAX_M + 2), 1]

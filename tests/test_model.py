@@ -112,15 +112,22 @@ def test_rhs_matches_pointwise_product_oracle():
         (Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(rng.randint(1, 9), rng.randint(1, 7)))
         for _ in range(4)
     ]
-    for n in range(6):
-        for seq in enumerate_marked(n):
-            lvec = sequence_l_vector(seq)
-            for c_sign in (1, -1):
-                form = rhs_polynomial(lvec, default_lambdas(n), c_sign)
-                for u1, u2 in points:
-                    assert evaluate_form(form, u1, u2) == evaluate_product(
-                        lvec, default_lambdas(n), c_sign, u1, u2
-                    )
+    cases = [
+        (sequence_l_vector(seq), default_lambdas(n)) for n in range(6) for seq in enumerate_marked(n)
+    ]
+    # large m: Fibonacci n = 10 and 12 (m = 89 and 233) under default and
+    # random lambdas, and the staircase (1, 2, ..., 60, 1) (m = 60)
+    for n in (10, 12):
+        lvec = sequence_l_vector(family_fibonacci(n))
+        cases += [(lvec, default_lambdas(n)), (lvec, random_increasing_lambdas(rng, n))]
+    cases.append((sequence_l_vector((*range(1, 61), 1)), default_lambdas(60)))
+    for lvec, lambdas in cases:
+        for c_sign in (1, -1):
+            form = rhs_polynomial(lvec, lambdas, c_sign)
+            for u1, u2 in points:
+                assert evaluate_form(form, u1, u2) == evaluate_product(
+                    lvec, lambdas, c_sign, u1, u2
+                )
 
 
 def sequential_rhs(lvec, lambdas, c_sign) -> tuple[Fraction, ...]:
@@ -196,9 +203,10 @@ def test_rhs_rejects_bad_inputs():
 
 
 def test_rhs_limit_is_checked_before_the_expansion(count_calls):
-    # (1, 2m - 2, 1) expands one binomial row, so the edge is cheap to admit
+    # (1, 2m - 2, 1) is 2m - 2 linear factors, so the edge is admitted in
+    # about half a second
     assert rhs_polynomial((1, 2 * _MAX_M - 2, 1), default_lambdas(1)).degree == 2 * _MAX_M
-    multiplied = count_calls("model", "_multiply")
+    multiplied = count_calls("model", "_times_linear")
     with pytest.raises(InvalidParameterError, match=f"model limit m <= {_MAX_M}"):
         rhs_polynomial((1, 2 * _MAX_M, 1), default_lambdas(1))
     assert multiplied == []
