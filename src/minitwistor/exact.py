@@ -1,7 +1,8 @@
 """Exact scalars: arbitrary-precision rationals plus a distinguished infinity.
 
 Every number the library emits is a ``fractions.Fraction`` or the sentinel
-``INF``; floats never appear, so all outputs are bit-reproducible.
+``INF``, a single object compared by identity and never ordered; floats never
+appear, so all outputs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from .errors import InvalidParameterError
 
 
 class Infinity:
-    """Point at infinity on the parameter line; compares above every rational."""
+    """Point at infinity on the parameter line; one object, compared by identity, unordered."""
 
     _singleton = None
 
@@ -23,24 +24,6 @@ class Infinity:
 
     def __repr__(self) -> str:
         return "inf"
-
-    def __eq__(self, other: object) -> bool:
-        return other is self
-
-    def __hash__(self) -> int:
-        return hash(("minitwistor", "inf"))
-
-    def __lt__(self, other: object) -> bool:
-        return False
-
-    def __le__(self, other: object) -> bool:
-        return other is self
-
-    def __gt__(self, other: object) -> bool:
-        return other is not self
-
-    def __ge__(self, other: object) -> bool:
-        return True
 
 
 INF = Infinity()
@@ -135,8 +118,6 @@ def format_scalar(value: Scalar | int) -> str:
     """Render an exact scalar as reduced "p/q", a plain integer, or "inf"."""
     if isinstance(value, Infinity):
         return "inf"
-    # a Fraction is read as it is; only an int is converted
-    f = value if isinstance(value, Fraction) else Fraction(value)
-    if f.denominator == 1:
-        return decimal(f.numerator)
-    return f"{decimal(f.numerator)}/{decimal(f.denominator)}"
+    if value.denominator == 1:
+        return decimal(value.numerator)
+    return f"{decimal(value.numerator)}/{decimal(value.denominator)}"

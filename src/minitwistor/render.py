@@ -2,7 +2,8 @@
 
 Rationals print reduced as "p/q", infinity as "inf", JSON keys are sorted and
 nothing time- or environment-dependent ever enters the output, so identical
-inputs produce identical bytes.
+inputs produce identical bytes.  One walk over the terms, ``_equation``,
+writes the model equation in text and in LaTeX alike.
 
 JSON is written by a small recursive writer, not by ``json.dumps``: with
 ``indent`` set, ``json`` falls back to its pure-Python encoder, which takes
@@ -91,49 +92,37 @@ def _json(value, newline: str, string) -> str:
 # equation rendering
 
 
-def _ordered_terms(q: QuadraticForm) -> list[tuple[tuple[int, int], Fraction]]:
-    # descending total degree on the parameter curve, then descending index
-    return sorted(q.terms, key=lambda item: (-(item[0][0] + item[0][1]), -item[0][0]))
-
-
-def _join_terms(rendered: list[tuple[int, str]]) -> str:
-    if not rendered:
-        return "0"
-    parts = []
-    for position, (sign, body) in enumerate(rendered):
-        if position == 0:
-            parts.append(("-" if sign < 0 else "") + body)
-        else:
-            parts.append(("- " if sign < 0 else "+ ") + body)
-    return " ".join(parts)
+def _equation(model: MinitwistorModel, lhs: str, monomial, magnitude) -> str:
+    # the terms of Q by descending a + b, then descending a: "+ " when the
+    # numerator p is positive, else "- " (so a hand-built zero prints "- 0"),
+    # then magnitude(|p|, q) unless |p|/q is 1, then monomial(a, b)
+    terms = []
+    for (a, b), coeff in sorted(model.q.terms, key=lambda item: (-sum(item[0]), -item[0][0])):
+        p, q = coeff.numerator, coeff.denominator
+        scale = "" if q == 1 and abs(p) == 1 else magnitude(abs(p), q)
+        terms.append(("+ " if p > 0 else "- ") + scale + monomial(a, b))
+    if not terms:
+        return lhs + "0"
+    terms[0] = terms[0][2:] if terms[0][0] == "+" else "-" + terms[0][2:]
+    return lhs + " ".join(terms)
 
 
 def equation_latex(model: MinitwistorModel) -> str:
     """The model equation z_{m+1} z_{m+2} = Q as a LaTeX line."""
-    m = model.m
-    rendered = []
-    for (a, b), coeff in _ordered_terms(model.q):
-        mono = f"z_{{{a}}}^{{2}}" if a == b else f"z_{{{a}}}z_{{{b}}}"
-        mag = abs(coeff)
-        if mag == 1:
-            body = mono
-        elif mag.denominator == 1:
-            body = f"{decimal(mag.numerator)}{mono}"
-        else:
-            body = f"\\tfrac{{{decimal(mag.numerator)}}}{{{decimal(mag.denominator)}}}{mono}"
-        rendered.append((1 if coeff > 0 else -1, body))
-    return f"z_{{{m + 1}}}z_{{{m + 2}}} = " + _join_terms(rendered)
+    return _equation(
+        model, f"z_{{{model.m + 1}}}z_{{{model.m + 2}}} = ",
+        lambda a, b: f"z_{{{a}}}^{{2}}" if a == b else f"z_{{{a}}}z_{{{b}}}",
+        lambda p, q: decimal(p) if q == 1 else f"\\tfrac{{{decimal(p)}}}{{{decimal(q)}}}",
+    )
 
 
 def equation_text(model: MinitwistorModel) -> str:
-    m = model.m
-    rendered = []
-    for (a, b), coeff in _ordered_terms(model.q):
-        mono = f"z{a}^2" if a == b else f"z{a}*z{b}"
-        mag = abs(coeff)
-        body = mono if mag == 1 else f"{format_scalar(mag)}*{mono}"
-        rendered.append((1 if coeff > 0 else -1, body))
-    return f"z{m + 1}*z{m + 2} = " + _join_terms(rendered)
+    """The model equation z_{m+1} z_{m+2} = Q as a plain-text line."""
+    return _equation(
+        model, f"z{model.m + 1}*z{model.m + 2} = ",
+        lambda a, b: f"z{a}^2" if a == b else f"z{a}*z{b}",
+        lambda p, q: decimal(p) + ("*" if q == 1 else f"/{decimal(q)}*"),
+    )
 
 
 def model_text(model: MinitwistorModel) -> str:

@@ -17,6 +17,7 @@ from minitwistor import (
     validate_sequence,
 )
 from minitwistor.catalog import _marked_count
+from minitwistor.exact import decimal, format_scalar
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -264,3 +265,54 @@ def grouped_classes(n):
         rec = analyze_sequence(members[0])
         classes.append((key, rec.k, members, rec.m, rec.l, rec.slack))
     return sorted(classes, key=lambda cls: cls[1])
+
+
+def ordered_terms(q):
+    """The terms of a QuadraticForm by descending a + b, then descending a."""
+    return sorted(q.terms, key=lambda item: (-(item[0][0] + item[0][1]), -item[0][0]))
+
+
+def join_terms(rendered):
+    """(sign, body) pairs as "body1 + body2 - body3 ...", a first negative
+    body as "-body1", and no pairs as "0"."""
+    if not rendered:
+        return "0"
+    parts = []
+    for position, (sign, body) in enumerate(rendered):
+        if position == 0:
+            parts.append(("-" if sign < 0 else "") + body)
+        else:
+            parts.append(("- " if sign < 0 else "+ ") + body)
+    return " ".join(parts)
+
+
+def equation_latex_oracle(model):
+    """The model equation as a LaTeX line, one loop per format with the sign
+    and magnitude taken in Fraction arithmetic: the oracle for
+    render.equation_latex, which writes both formats in one walk."""
+    m = model.m
+    rendered = []
+    for (a, b), coeff in ordered_terms(model.q):
+        mono = f"z_{{{a}}}^{{2}}" if a == b else f"z_{{{a}}}z_{{{b}}}"
+        mag = abs(coeff)
+        if mag == 1:
+            body = mono
+        elif mag.denominator == 1:
+            body = f"{decimal(mag.numerator)}{mono}"
+        else:
+            body = f"\\tfrac{{{decimal(mag.numerator)}}}{{{decimal(mag.denominator)}}}{mono}"
+        rendered.append((1 if coeff > 0 else -1, body))
+    return f"z_{{{m + 1}}}z_{{{m + 2}}} = " + join_terms(rendered)
+
+
+def equation_text_oracle(model):
+    """The model equation as a plain-text line, the same way: the oracle for
+    render.equation_text."""
+    m = model.m
+    rendered = []
+    for (a, b), coeff in ordered_terms(model.q):
+        mono = f"z{a}^2" if a == b else f"z{a}*z{b}"
+        mag = abs(coeff)
+        body = mono if mag == 1 else f"{format_scalar(mag)}*{mono}"
+        rendered.append((1 if coeff > 0 else -1, body))
+    return f"z{m + 1}*z{m + 2} = " + join_terms(rendered)

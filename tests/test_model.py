@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 from minitwistor import (
     INF,
     BinaryForm,
+    Infinity,
     InvalidParameterError,
     QuadraticForm,
     analyze_sequence,
@@ -15,6 +18,7 @@ from minitwistor import (
     enumerate_marked,
     family_fibonacci,
     minitwistor_model,
+    parse_scalar,
     quadratic_split,
     rhs_polynomial,
     validate_lambdas,
@@ -62,6 +66,26 @@ def test_default_lambdas():
 def test_validate_lambdas_rejects(lams, n):
     with pytest.raises(InvalidParameterError):
         validate_lambdas(lams, n)
+
+
+def test_infinity_is_one_object():
+    # Infinity has no __eq__ or __hash__ of its own: lambda tuples, and the
+    # records that hold them, compare and hash by INF's identity
+    assert Infinity() is INF
+    assert parse_scalar(" inf ") is INF
+    assert copy.deepcopy(INF) is INF
+    # protocols 0 and 1 rebuild through object.__new__, not Infinity.__new__
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(INF, protocol)) is INF
+    model = minitwistor_model((1, 2, 5, 3, 1))
+    clone = copy.deepcopy(model)
+    assert clone is not model and clone.lambdas[-1] is INF
+    assert clone == model and hash(clone) == hash(model)
+    with pytest.raises(InvalidParameterError, match="^lambda_1 must be 0$"):
+        validate_lambdas((INF, Fraction(1), INF), 1)
+    interior = "^interior conformal invariants must be rational$"
+    with pytest.raises(InvalidParameterError, match=interior):
+        validate_lambdas((Fraction(0), Fraction(1), INF, INF), 2)
 
 
 # ---------------------------------------------------------------------------
